@@ -4,7 +4,7 @@
 //! driver, `ShardedIngest` across 2/4/8 worker threads (k same-seed
 //! shard copies, k× memory, merged at the end), and `ConcurrentIngest`
 //! across the same thread counts (**one** shared `Atomic`-backed
-//! sketch, 1× memory, lock-free fetch-adds) — the sharded-vs-shared
+//! sketch, 1× memory, its rows split across the workers) — the sharded-vs-shared
 //! comparison behind the storage-layer refactor. The `single` row
 //! doubles as the `Dense`-backend abstraction-cost gate: it runs the
 //! same code path as before the `CounterMatrix` extraction, so a
@@ -167,9 +167,9 @@ where
     (runs, single_secs, single)
 }
 
-/// The concurrent-shared path: `workers` threads feeding **one**
-/// `Atomic`-backed sketch, measured against the same single-item
-/// reference (integer deltas => bit-for-bit agreement is asserted).
+/// The concurrent-shared path: `workers` threads splitting the rows of
+/// **one** `Atomic`-backed sketch, measured against the same
+/// single-item reference (bit-for-bit agreement is asserted).
 fn bench_concurrent<S, R, F>(
     name: &str,
     updates: &[(u64, f64)],
@@ -198,9 +198,9 @@ where
             result = Some(sk);
         }
         let sk = black_box(result.expect("at least one pass"));
-        // Exactness spot-check: atomic f64 adds of integer deltas are
-        // exact, hence order-independent — the shared sketch must match
-        // the single-item reference bit-for-bit.
+        // Exactness spot-check: every cell has one writer applying the
+        // stream in order — the shared sketch must match the
+        // single-item reference bit-for-bit.
         for j in (0..reference.universe()).step_by(97_003) {
             assert_eq!(sk.estimate(j), reference.estimate(j), "{name} item {j}");
         }
@@ -323,10 +323,10 @@ fn main() {
     // kernels this section measures: the blocked row-major kernel
     // (`kernel-batch`), the same kernel with the vectorized digest /
     // bucket / sign maps forced off (`kernel-scalar` — identical math,
-    // scalar lanes), and the shared-reference coalescing kernel driven
-    // single-threaded (`shared-batch`: per block, duplicate hits on a
-    // cell collapse into one atomic RMW). Integer deltas keep every
-    // row bit-for-bit comparable, so the exactness gates hold here too.
+    // scalar lanes), and the same blocked kernel through a shared
+    // reference (`shared-batch`: the row owner's relaxed load + store
+    // per cell, no read-modify-write). Every path applies each cell's
+    // increments in item order, so the exactness gates hold here too.
     let one_hash = params.with_hash_kind(HashKind::OneHash);
     let mut hot_runs = Vec::new();
 
@@ -379,7 +379,7 @@ fn main() {
 
     // Exactness gates: both kernel paths and the shared path must be
     // bit-for-bit (the SIMD lanes perform the same wrapping integer
-    // ops; integer deltas make the shared adds order-independent).
+    // ops; the shared path runs the same sweep).
     for j in (0..kernel_scalar.universe()).step_by(97_003) {
         assert_eq!(
             kernel_simd.estimate(j),

@@ -409,7 +409,7 @@ fn main() {
     // fabric's admission path, then queried round-robin through
     // request dispatch.
     for &tenants in &[4u64, 16, 64] {
-        let mut fabric = Fabric::new(FabricConfig::new(params.clone()).with_workers(workers));
+        let mut fabric = Fabric::new(FabricConfig::new(params.clone()));
         for shard in 0..4 {
             fabric.add_shard(shard, 1.0).expect("fresh shard id");
         }
@@ -478,7 +478,7 @@ fn main() {
     // tax reads off directly.
     {
         let tenants = 4u64;
-        let mut fabric = Fabric::new(FabricConfig::new(params.clone()).with_workers(workers));
+        let mut fabric = Fabric::new(FabricConfig::new(params.clone()));
         for shard in 0..4 {
             fabric.add_shard(shard, 1.0).expect("fresh shard id");
         }

@@ -1,41 +1,39 @@
-//! The concurrent ingester: N threads feeding **one** shared
-//! atomic-backed sketch, lock-free.
+//! The concurrent ingester: workers that split **one** shared
+//! atomic-backed sketch by rows.
 //!
 //! Where [`ShardedIngest`](crate::ShardedIngest) buys parallelism with
 //! memory — `k` same-seed shard copies, `k×` the counter space, merged
 //! at the end — [`ConcurrentIngest`] keeps the small-space promise that
 //! motivates sketching in the first place: one counter plane, `1×`
-//! memory, fed by every worker thread through the storage layer's
-//! lock-free [`SharedSketch`](bas_sketch::SharedSketch) path. No merge
-//! step, no shard copies, and the sketch is queryable the moment the
-//! last flush returns.
+//! memory, written under the
+//! [`SharedSketch`](bas_sketch::SharedSketch) rule. No merge step, no
+//! shard copies, and the sketch is queryable the moment the last flush
+//! returns.
 
 use crate::buffer::IngestBuffer;
 use crate::epoch::EpochGuard;
 use bas_sketch::SharedSketch;
 use bas_stream::StreamUpdate;
 
-/// Fans an update stream across `workers` threads that all feed **one**
-/// shared sketch through its lock-free
-/// [`SharedSketch`] ingest path.
+/// Buffers an update stream and applies each flush to **one** shared
+/// sketch, with the sketch's rows split across `workers` threads.
 ///
-/// The sketch must be built on a shared-capable counter backend —
-/// in practice [`bas_sketch::storage::Atomic`], e.g.
-/// [`bas_sketch::AtomicCountSketch`]. Updates are buffered; each time
-/// the buffer reaches the flush threshold it is split into `workers`
-/// contiguous chunks applied concurrently by scoped threads, every
-/// chunk going through `update_batch_shared` into the *same* counters.
+/// The sketch must be built on the [`bas_sketch::storage::Atomic`]
+/// counter backend, e.g. [`bas_sketch::AtomicCountSketch`]. Each time
+/// the buffer reaches the flush threshold, every worker applies the
+/// **whole** flush to its own contiguous range of rows through
+/// [`SharedSketch::update_rows_shared`], so each row has exactly one
+/// writer. At `workers == 1` the flush runs inline on the calling
+/// thread; workers beyond the sketch's depth idle.
 ///
 /// **Memory.** A width-`s`, depth-`d` sketch costs `s·d` counter words
 /// here versus `k·s·d` under `ShardedIngest` with `k` shards — the
 /// difference between one compact shared summary and per-thread copies.
 ///
-/// **Exactness.** Atomic adds land in nondeterministic order. For
-/// integer-valued deltas (the paper's arrival model) `f64` addition is
-/// exact, hence order-independent, and the result is **bit-for-bit**
-/// equal to single-threaded ingest — asserted by
-/// `tests/concurrent_ingest.rs`. For general real deltas each counter
-/// may differ in the last ulp (the same caveat shard merging carries).
+/// **Exactness.** Each cell receives its increments from one writer, in
+/// stream order, so the result is **bit-for-bit** equal to
+/// single-threaded ingest for any `f64` deltas and any worker count —
+/// asserted by `tests/concurrent_ingest.rs`.
 ///
 /// **Consistency.** Between `push`/`flush` calls no worker threads are
 /// live, so [`sketch`](ConcurrentIngest::sketch) queries observe a
@@ -49,16 +47,17 @@ use bas_stream::StreamUpdate;
 /// let params = SketchParams::new(10_000, 128, 5).with_seed(3);
 /// let mut ingest = ConcurrentIngest::new(4, AtomicCountSketch::with_backend(&params));
 /// for i in 0..20_000u64 {
-///     ingest.push(i % 10_000, 1.0);
+///     ingest.push(i % 10_000, 0.25 * (i % 7) as f64);
 /// }
 /// let sketch = ingest.finish();
 ///
-/// // One shared sketch, fed by 4 threads == the single-threaded sketch.
+/// // One shared sketch, its rows split over 4 threads == the
+/// // single-threaded sketch, bit for bit.
 /// let mut reference = CountSketch::new(&params);
 /// for i in 0..20_000u64 {
-///     reference.update(i % 10_000, 1.0);
+///     reference.update(i % 10_000, 0.25 * (i % 7) as f64);
 /// }
-/// assert_eq!(sketch.estimate(42), reference.estimate(42));
+/// assert_eq!(sketch.estimate(42).to_bits(), reference.estimate(42).to_bits());
 /// ```
 #[derive(Debug)]
 pub struct ConcurrentIngest<S> {
@@ -68,13 +67,12 @@ pub struct ConcurrentIngest<S> {
 }
 
 impl<S: SharedSketch + Send> ConcurrentIngest<S> {
-    /// Default number of buffered updates that triggers a parallel
-    /// flush — same sizing rationale as
+    /// Default number of buffered updates that triggers a flush — same sizing rationale as
     /// [`ShardedIngest::DEFAULT_FLUSH_THRESHOLD`](crate::ShardedIngest::DEFAULT_FLUSH_THRESHOLD).
     pub const DEFAULT_FLUSH_THRESHOLD: usize = IngestBuffer::DEFAULT_FLUSH_THRESHOLD;
 
-    /// Creates an ingester that fans flushes across `workers` threads
-    /// feeding `sketch`.
+    /// Creates an ingester whose flushes split `sketch`'s rows across
+    /// `workers` threads.
     ///
     /// # Panics
     /// Panics if `workers` is zero.
@@ -96,7 +94,7 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
         self
     }
 
-    /// Number of worker threads used per flush.
+    /// Number of worker threads a flush splits the rows across.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -106,7 +104,7 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
         self.buf.total_updates()
     }
 
-    /// Parallel flushes performed so far.
+    /// Flushes performed so far.
     pub fn flushes(&self) -> u64 {
         self.buf.flushes()
     }
@@ -124,8 +122,8 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
         &self.sketch
     }
 
-    /// Buffers one update `x_item ← x_item + delta`, flushing in
-    /// parallel when the buffer is full.
+    /// Buffers one update `x_item ← x_item + delta`, flushing when the
+    /// buffer is full.
     pub fn push(&mut self, item: u64, delta: f64) {
         if self.buf.push(item, delta) {
             self.flush();
@@ -150,33 +148,41 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
         }
     }
 
-    /// Applies all buffered updates now: the buffer is split into
-    /// `workers` contiguous chunks and each chunk is pushed through
-    /// `update_batch_shared` on its own scoped thread — all of them
-    /// into the **same** counter plane. Returns with all workers
-    /// joined, so the sketch is settled.
+    /// Applies all buffered updates now. With one worker the flush
+    /// runs inline through [`SharedSketch::update_batch_shared`];
+    /// otherwise the sketch's rows are split into `min(workers, depth)`
+    /// contiguous ranges and each scoped thread applies the whole
+    /// buffer to its own range — every row has one writer. Returns with
+    /// all workers joined, so the sketch is settled.
     ///
     /// If the sketch publishes a write epoch
     /// ([`SharedSketch::write_epoch`], e.g. through an
-    /// [`EpochSketch`](crate::EpochSketch) wrapper), the whole flush —
-    /// spawn, apply, join — runs inside one write section, and the
-    /// stream position is advanced via [`SharedSketch::note_applied`]
-    /// before the section closes. Seqlock snapshot readers therefore
-    /// only ever capture flush *boundaries*: prefixes of the pushed
-    /// stream, never a mix of an in-flight flush. Plain sketches
-    /// publish no epoch and skip the bracket entirely.
+    /// [`EpochSketch`](crate::EpochSketch) wrapper), the whole flush
+    /// runs inside one write section, and the stream position is
+    /// advanced via [`SharedSketch::note_applied`] before the section
+    /// closes. Seqlock snapshot readers therefore only ever capture
+    /// flush *boundaries*: prefixes of the pushed stream, never a mix
+    /// of an in-flight flush. Plain sketches publish no epoch and skip
+    /// the bracket entirely.
     pub fn flush(&mut self) {
         let sketch = &self.sketch;
         let workers = self.workers;
         self.buf.drain(|pending| {
-            let chunk = pending.len().div_ceil(workers);
             let guard = sketch.write_epoch().map(EpochGuard::enter);
-            crossbeam::scope(|scope| {
-                for chunk in pending.chunks(chunk) {
-                    scope.spawn(move |_| sketch.update_batch_shared(chunk));
-                }
-            })
-            .expect("concurrent ingest worker panicked");
+            if workers == 1 {
+                sketch.update_batch_shared(pending);
+            } else {
+                let depth = sketch.shared_rows();
+                let parts = workers.min(depth).max(1);
+                let rows = |k: usize| k * depth / parts..(k + 1) * depth / parts;
+                crossbeam::scope(|scope| {
+                    for k in 1..parts {
+                        scope.spawn(move |_| sketch.update_rows_shared(rows(k), pending));
+                    }
+                    sketch.update_rows_shared(rows(0), pending);
+                })
+                .expect("concurrent ingest worker panicked");
+            }
             if guard.is_some() {
                 // Only epoch-published sketches track stream position;
                 // plain sketches' note_applied is a no-op, so skip the
@@ -207,17 +213,18 @@ mod tests {
         SketchParams::new(500, 64, 5).with_seed(9)
     }
 
-    /// Integer-delta stream: f64 atomic adds are exact, so the shared
-    /// sketch must reproduce the single-threaded sketch bit-for-bit.
+    /// Fractional deltas: each row has one writer applying them in
+    /// stream order, so the shared sketch must reproduce the
+    /// single-threaded sketch bit-for-bit.
     fn stream(len: u64) -> Vec<(u64, f64)> {
         (0..len)
-            .map(|i| (i * 7 % 500, (1 + i % 5) as f64))
+            .map(|i| (i * 7 % 500, 0.1 + (i % 5) as f64 / 3.0))
             .collect()
     }
 
     #[test]
     fn concurrent_equals_single_threaded_exactly() {
-        for workers in [1usize, 2, 3, 8] {
+        for workers in [1usize, 2, 3, 5, 8] {
             let updates = stream(10_000);
             let mut ingest =
                 ConcurrentIngest::new(workers, AtomicCountMedian::with_backend(&params()))
@@ -228,8 +235,8 @@ mod tests {
             reference.update_batch(&updates);
             for j in 0..500u64 {
                 assert_eq!(
-                    shared.estimate(j),
-                    reference.estimate(j),
+                    shared.estimate(j).to_bits(),
+                    reference.estimate(j).to_bits(),
                     "{workers} workers, item {j}"
                 );
             }
@@ -273,7 +280,8 @@ mod tests {
     }
 
     #[test]
-    fn more_workers_than_updates_is_fine() {
+    fn workers_beyond_the_depth_idle() {
+        // Depth 5, 8 workers: three have no rows to own.
         let mut ingest = ConcurrentIngest::new(8, AtomicCountMedian::with_backend(&params()));
         ingest.push(3, 2.0);
         let sk = ingest.finish();

@@ -1,9 +1,10 @@
 //! Epoch snapshots: consistent reads over a sketch that is being fed
 //! concurrently.
 //!
-//! [`ConcurrentIngest`](crate::ConcurrentIngest) made one shared
-//! `Atomic`-backed sketch writable from N threads; this module makes it
-//! **readable** while those writers are live. The discipline is a
+//! [`ConcurrentIngest`](crate::ConcurrentIngest) writes one shared
+//! `Atomic`-backed sketch, one writer per row; this module makes it
+//! **readable** while a flush is in flight — the reader half of the
+//! [`SharedSketch`] rule. The discipline is a
 //! seqlock built from two pieces the lower layers already own:
 //!
 //! * the storage layer's
@@ -32,6 +33,7 @@ use bas_sketch::storage::EpochCounter;
 use bas_sketch::{
     AbsorbPlane, MergeError, PointQuerySketch, Reseedable, SharedSketch, Snapshottable,
 };
+use std::ops::Range;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -422,12 +424,12 @@ impl<S: PointQuerySketch> PointQuerySketch for EpochSketch<S> {
 }
 
 impl<S: SharedSketch> SharedSketch for EpochSketch<S> {
-    fn update_shared(&self, item: u64, delta: f64) {
-        self.sketch.update_shared(item, delta);
+    fn shared_rows(&self) -> usize {
+        self.sketch.shared_rows()
     }
 
-    fn update_batch_shared(&self, items: &[(u64, f64)]) {
-        self.sketch.update_batch_shared(items);
+    fn update_rows_shared(&self, rows: Range<usize>, items: &[(u64, f64)]) {
+        self.sketch.update_rows_shared(rows, items);
     }
 
     /// Publishes the wrapper's epoch: ingest drivers bracket every
@@ -439,14 +441,14 @@ impl<S: SharedSketch> SharedSketch for EpochSketch<S> {
 
     /// Advances the stream position. Called inside the write section,
     /// so epoch-consistent readers always see counters and position
-    /// from the same settled state. Flushes are serialized by the
-    /// driver's `&mut self` (and overlapping write sections are a hard
-    /// error in [`EpochCounter::begin_write`]), but the mass
-    /// accumulation still uses the storage layer's CAS add so even a
-    /// misused concurrent caller cannot silently lose mass.
+    /// from the same settled state. Write sections are serialized
+    /// (overlap is a hard error in [`EpochCounter::begin_write`]), so
+    /// the section's writer is the position's only writer: a plain
+    /// load and store, like a counter row's owner-write.
     fn note_applied(&self, updates: u64, mass: f64) {
         self.applied.fetch_add(updates, Ordering::AcqRel);
-        <f64 as bas_sketch::CounterValue>::atomic_add(&self.mass_bits, mass);
+        let total = f64::from_bits(self.mass_bits.load(Ordering::Relaxed)) + mass;
+        self.mass_bits.store(total.to_bits(), Ordering::Release);
     }
 }
 
@@ -581,12 +583,12 @@ impl<S: PointQuerySketch> PointQuerySketch for EpochHandle<S> {
 }
 
 impl<S: SharedSketch + Send> SharedSketch for EpochHandle<S> {
-    fn update_shared(&self, item: u64, delta: f64) {
-        self.0.update_shared(item, delta);
+    fn shared_rows(&self) -> usize {
+        self.0.shared_rows()
     }
 
-    fn update_batch_shared(&self, items: &[(u64, f64)]) {
-        self.0.update_batch_shared(items);
+    fn update_rows_shared(&self, rows: Range<usize>, items: &[(u64, f64)]) {
+        self.0.update_rows_shared(rows, items);
     }
 
     fn write_epoch(&self) -> Option<&EpochCounter> {

@@ -28,25 +28,27 @@
 //! ## Sharded vs concurrent-shared
 //!
 //! Two multi-core ingest strategies live here, trading memory against
-//! counter contention:
+//! how the work splits:
 //!
 //! * [`ShardedIngest`] — `k` per-thread same-seed shard sketches, `k×`
-//!   the counter memory, zero write contention, one merge at the end.
+//!   the counter memory, each shard fed a slice of the **items**, one
+//!   merge at the end.
 //! * [`ConcurrentIngest`] — **one** shared sketch on the storage
-//!   layer's `Atomic` backend, `1×` memory, fed by `k` threads through
-//!   the lock-free [`SharedSketch`](bas_sketch::SharedSketch) path; no
-//!   merge step. This preserves the small-space motivation of
+//!   layer's `Atomic` backend, `1×` memory, its **rows** split across
+//!   `k` threads under the [`SharedSketch`](bas_sketch::SharedSketch)
+//!   rule; no merge step. This preserves the small-space motivation of
 //!   sketching: a width-4096 × depth-9 sketch costs ~288 KiB shared
 //!   versus ~2.3 MiB under 8-way sharding.
 //!
-//! Both are exactly equivalent to single-threaded ingest on
-//! integer-delta streams (order-independence of exact addition); the
-//! `throughput_ingest` bench reports them head-to-head.
+//! `ConcurrentIngest` is bit-for-bit single-threaded ingest for any
+//! deltas (one writer per cell, in stream order); `ShardedIngest` is
+//! exact on integer-delta streams (order-independence of exact
+//! addition). The `throughput_ingest` bench reports them head-to-head.
 //!
 //! ## Reading while writing: the epoch module
 //!
-//! [`epoch`] turns `ConcurrentIngest`'s write-only concurrency into a
-//! full read-while-write **query plane**: wrap the shared sketch in an
+//! [`epoch`] turns `ConcurrentIngest`'s writer into a full
+//! read-while-write **query plane**: wrap the shared sketch in an
 //! [`EpochSketch`] and every flush runs inside a seqlock write section,
 //! so readers can [`pin`](EpochSketch::pin) consistent
 //! [`SnapshotHandle`]s — frozen views that always equal the sketch of a
@@ -72,7 +74,7 @@
 //! CML-CU and the S/R types implement no `SharedSketch`, so they are
 //! rejected at compile time; Count-Min's policy is a runtime value, so
 //! an `Atomic`-backed CM-CU constructs but panics on the first shared
-//! update (see `SharedSketch::update_shared` for `CountMin`).
+//! update (see `SharedSketch::update_rows_shared` for `CountMin`).
 //!
 //! The `throughput_ingest` bench in `bas-bench` measures all the
 //! ingest paths (single-item, batched, driven, sharded-`k`,

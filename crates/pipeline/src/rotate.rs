@@ -91,7 +91,7 @@ impl<S: SharedSketch + Reseedable + Send> RotatingGeneration<S> {
 /// the master seed — so generation `g` always runs under
 /// `schedule.seed_for(g)` and any party holding the schedule can
 /// reconstruct every generation's hashers. The live generation ingests
-/// through the same lock-free [`ConcurrentIngest`] path as the
+/// through the same [`ConcurrentIngest`] path as the
 /// fixed-seed engines; [`advance_interval`](RotatingIngest::advance_interval)
 /// retires it and starts the next, retaining the last `retain` retired
 /// generations for estimate-space window serving.
@@ -141,8 +141,8 @@ pub struct RotatingIngest<S: SharedSketch + Reseedable + Send> {
 impl<S: SharedSketch + Reseedable + Send> RotatingIngest<S> {
     /// Creates a rotating ingester: `sketch` is reseeded to
     /// `schedule.seed_for(0)` (its counters are discarded — pass a
-    /// fresh sketch) and becomes generation 0's live plane. Flushes fan
-    /// across `workers` threads; the last `retain` retired generations
+    /// fresh sketch) and becomes generation 0's live plane. Flushes split
+    /// the rows across `workers` threads; the last `retain` retired generations
     /// are kept for window serving (0 keeps none — every rotation
     /// forgets the past entirely).
     ///

@@ -28,7 +28,7 @@
 //!    slot's allocation is refilled in place: steady-state rotation
 //!    allocates nothing.
 //!
-//! The live sketch is never reset — writers keep feeding it lock-free
+//! The live sketch is never reset — the writer keeps feeding it
 //! across rotations, and concurrent readers' pinned snapshots stay
 //! valid. `bas_serve` layers the tumbling/sliding window *policies* on
 //! top; this module only owns the mechanics.
@@ -86,8 +86,8 @@ pub struct WindowedIngest<S: SharedSketch + Snapshottable + Reseedable + Send> {
 }
 
 impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
-    /// Creates a windowed ingester whose flushes fan across `workers`
-    /// threads and whose bank retains the last `bank_capacity` sealed
+    /// Creates a windowed ingester whose flushes split the rows across
+    /// `workers` threads and whose bank retains the last `bank_capacity` sealed
     /// planes. Capacity 0 disables sealing entirely — the unbounded
     /// configuration, with zero rotation overhead.
     ///

@@ -2,11 +2,11 @@
 //!
 //! Everything below this crate moves data *into* sketches; this crate
 //! serves queries *out of* one **while writers are still feeding it**.
-//! A [`QueryEngine`] owns the write side — a
-//! [`WindowedIngest`] fanning each
-//! flush across N worker threads into one shared `Atomic`-backed
-//! sketch — and hands out any number of cloneable [`QueryHandle`]s for
-//! the read side. Two read modes, chosen per query:
+//! A [`QueryEngine`] owns the write side — a [`WindowedIngest`]
+//! applying each flush to one shared `Atomic`-backed sketch, its rows
+//! split across the engine's workers — and hands out any number of
+//! cloneable [`QueryHandle`]s for the read side, under the rule stated
+//! on [`SharedSketch`]. Two read modes, chosen per query:
 //!
 //! * **live** ([`QueryHandle::estimate_live`]) — reads the atomic cells
 //!   directly, lock-free, never waits. Each cell is one atomic word,
@@ -47,7 +47,7 @@
 //! conveniences panic with its `Display` message.
 //!
 //! The engine is generic over any sketch that is both
-//! [`SharedSketch`] (lock-free shared ingest)
+//! [`SharedSketch`] (row-owned shared ingest)
 //! and [`Snapshottable`] (freezable counters): Count-Median,
 //! Count-Sketch, Count-Min (plain), and the dyadic range-sum stack.
 //!
@@ -141,9 +141,9 @@ fn scan_heavy_hitters<S: Snapshottable>(
     Ok(out)
 }
 
-/// A query engine over one concurrently-fed sketch: the write side is
-/// a [`WindowedIngest`] (N worker threads, one shared counter
-/// plane, plus interval rotation when the policy is windowed), the
+/// A query engine over one concurrently-read sketch: the write side is
+/// a [`WindowedIngest`] (one shared counter plane whose rows the
+/// workers split, plus interval rotation when the policy is windowed), the
 /// read side is any number of [`QueryHandle`]s serving live and
 /// snapshot reads — see the crate docs for the mode choice and the
 /// policy choice.
@@ -170,8 +170,8 @@ pub struct QueryEngine<
 }
 
 impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
-    /// Creates an [`Unbounded`] (since-boot) engine whose flushes fan
-    /// across `workers` threads — the pre-window constructor,
+    /// Creates an [`Unbounded`] (since-boot) engine whose flushes split
+    /// the rows across `workers` threads — the pre-window constructor,
     /// behaviorally identical to it. The sketch must be built on a
     /// shared-capable backend (e.g. [`bas_sketch::Atomic`]).
     ///
@@ -215,8 +215,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
 
     // ---- write side (single producer, `&mut self`) ----
 
-    /// Buffers one update, flushing across the workers when the buffer
-    /// fills.
+    /// Buffers one update, flushing when the buffer fills.
     pub fn push(&mut self, item: u64, delta: f64) {
         self.ingest.push(item, delta);
     }
@@ -327,7 +326,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
 
     // ---- bookkeeping ----
 
-    /// Worker threads per flush.
+    /// Worker threads a flush splits the rows across.
     pub fn workers(&self) -> usize {
         self.ingest.workers()
     }

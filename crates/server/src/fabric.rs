@@ -45,27 +45,17 @@ pub struct FabricConfig {
     /// share a shape (transfers stay compatible) while staying
     /// hash-isolated.
     pub params: SketchParams,
-    /// Ingest worker shards per tenant engine.
-    pub workers: usize,
     /// Per-frame byte cap applied when shipping transfers.
     pub max_frame_bytes: usize,
 }
 
 impl FabricConfig {
-    /// A config with the given sketch shape, one ingest worker, and
-    /// the default frame cap.
+    /// A config with the given sketch shape and the default frame cap.
     pub fn new(params: SketchParams) -> Self {
         Self {
             params,
-            workers: 1,
             max_frame_bytes: wire::MAX_FRAME_BYTES,
         }
-    }
-
-    /// Sets the ingest worker count per tenant engine.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
     }
 }
 
@@ -359,7 +349,7 @@ impl Fabric {
             .map_err(|e| ErrorReply::new("protocol", format!("tenant {tenant} transfer: {e}")))?
             .ok_or_else(|| ErrorReply::new("protocol", "empty transfer stream"))?;
         self.meter.record_download(words);
-        let slot = EngineSlot::install(&shipped, self.config.params.clone(), self.config.workers)?;
+        let slot = EngineSlot::install(&shipped, self.config.params.clone())?;
         let spec = shipped.spec;
         let admitted = {
             let old = self
@@ -407,7 +397,7 @@ impl Fabric {
             .ring
             .place(spec.tenant)
             .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
-        let slot = EngineSlot::build(&spec, self.config.params.clone(), self.config.workers)?;
+        let slot = EngineSlot::build(&spec, self.config.params.clone())?;
         self.shards.entry(shard).or_default().insert(
             spec.tenant,
             Tenant {
@@ -435,7 +425,7 @@ impl Fabric {
             .ring
             .place(tenant)
             .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
-        let slot = EngineSlot::install(transfer, self.config.params.clone(), self.config.workers)?;
+        let slot = EngineSlot::install(transfer, self.config.params.clone())?;
         self.shards.entry(shard).or_default().insert(
             tenant,
             Tenant {
@@ -591,13 +581,22 @@ impl Fabric {
         }
     }
 
-    /// Admission control, checked in policy order: the interval quota
-    /// first (Shed — retry next interval), then the queue bound (Busy —
-    /// retry after a flush). A rejected batch admits **nothing**.
+    /// Admission control, checked in policy order: a non-finite delta
+    /// first (`bad_ingest` — NaN or ±inf would poison its cells for
+    /// good, and JSON cannot carry it through a transfer), then the
+    /// interval quota (Shed — retry next interval), then the queue
+    /// bound (Busy — retry after a flush). A rejected batch admits
+    /// **nothing**.
     fn ingest(&mut self, frame: IngestFrame) -> Response {
         let tenant = frame.tenant;
         let k = frame.updates.len() as u64;
         self.with_tenant_mut(tenant, |t| {
+            if let Some(&(item, delta)) = frame.updates.iter().find(|(_, d)| !d.is_finite()) {
+                return Response::Error(ErrorReply::new(
+                    "bad_ingest",
+                    format!("tenant {tenant}: item {item} has non-finite delta {delta}"),
+                ));
+            }
             if t.admitted_in_interval.saturating_add(k) > t.spec.interval_quota {
                 return Response::Shed(ShedReceipt {
                     tenant,

@@ -1,7 +1,7 @@
 //! Count-Median: CM-matrix sketching with median recovery.
 
 use crate::snapshot::Snapshottable;
-use crate::storage::{CellGrid, CounterBackend, CounterMatrix, Dense, SharedBackend};
+use crate::storage::{Atomic, CellGrid, CounterBackend, CounterMatrix, Dense};
 use crate::traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
 };
@@ -27,8 +27,8 @@ use bas_hash::{AnyBucketHasher, BucketHasher, HashFamily, RowDeriver, SplitMix64
 /// parameter: the default [`Dense`] is the classical single-threaded
 /// configuration, while `CountMedian<Atomic>` (alias
 /// [`AtomicCountMedian`](crate::AtomicCountMedian)) additionally
-/// implements [`SharedSketch`] for lock-free multi-threaded ingest into
-/// one shared sketch.
+/// implements [`SharedSketch`] for ingest into one shared sketch while
+/// readers copy it.
 ///
 /// ```
 /// use bas_sketch::{CountMedian, PointQuerySketch, SketchParams};
@@ -64,8 +64,8 @@ impl CountMedian {
 
 impl<B: CounterBackend> CountMedian<B> {
     /// Creates an empty Count-Median sketch with an explicit counter
-    /// backend (e.g. `CountMedian::<Atomic>::with_backend` for
-    /// lock-free shared ingest).
+    /// backend (e.g. `CountMedian::<Atomic>::with_backend` for shared
+    /// ingest).
     pub fn with_backend(params: &SketchParams) -> Self {
         let mut seeder = SplitMix64::new(params.seed ^ 0xC0DE_0001);
         let mut family = HashFamily::new(params.hash_kind, &mut seeder, params.width);
@@ -155,7 +155,7 @@ impl<B: CounterBackend> PointQuerySketch for CountMedian<B> {
             debug_assert!(item < self.params.n, "item outside universe");
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
-            let derive = crate::util::onehash_block_derive(&rd, self.params.depth);
+            let derive = crate::util::onehash_block_derive(&rd);
             self.grid.apply_rows_blocked_f64(items, derive);
             return;
         }
@@ -184,32 +184,27 @@ impl<B: CounterBackend> PointQuerySketch for CountMedian<B> {
     }
 }
 
-impl<B: SharedBackend> SharedSketch for CountMedian<B> {
-    #[inline]
-    fn update_shared(&self, item: u64, delta: f64) {
-        debug_assert!(item < self.params.n, "item outside universe");
-        for (row, h) in self.hashers.iter().enumerate() {
-            self.grid.add_shared_f64(row, h.bucket(item), delta);
-        }
+impl SharedSketch for CountMedian<Atomic> {
+    fn shared_rows(&self) -> usize {
+        self.params.depth
     }
 
-    /// Shared batched update through the coalescing kernel
-    /// [`CellGrid::apply_rows_shared_f64`]: per block, duplicate hits
-    /// on the same cell collapse into **one** atomic RMW (summed in
-    /// item order — bit-for-bit with sequential ingest for integer
-    /// deltas).
-    fn update_batch_shared(&self, items: &[(u64, f64)]) {
+    /// The row owner's pass through
+    /// [`CellGrid::apply_rows_owned_f64`]: the same blocked kernel and
+    /// derivations as [`update_batch`](PointQuerySketch::update_batch),
+    /// restricted to `rows`.
+    fn update_rows_shared(&self, rows: std::ops::Range<usize>, items: &[(u64, f64)]) {
         #[cfg(debug_assertions)]
         for &(item, _) in items {
             debug_assert!(item < self.params.n, "item outside universe");
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
-            let derive = crate::util::onehash_block_derive(&rd, self.params.depth);
-            self.grid.apply_rows_shared_f64(items, derive);
+            let derive = crate::util::onehash_block_derive(&rd);
+            self.grid.apply_rows_owned_f64(rows, items, derive);
             return;
         }
         let derive = crate::util::hashed_block_derive(&self.hashers);
-        self.grid.apply_rows_shared_f64(items, derive);
+        self.grid.apply_rows_owned_f64(rows, items, derive);
     }
 }
 
@@ -253,9 +248,9 @@ impl<B: CounterBackend> Snapshottable for CountMedian<B> {
 
 /// Count-Median is linear: a shipped plane adds straight into the
 /// live grid, so a tenant rebuilt from seed + plane is bit-for-bit.
-impl<B: SharedBackend> crate::snapshot::AbsorbPlane for CountMedian<B> {
+impl crate::snapshot::AbsorbPlane for CountMedian<Atomic> {
     fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError> {
-        self.grid.add_plane_shared(plane);
+        self.grid.absorb_plane(plane);
         Ok(())
     }
 }

@@ -1,7 +1,7 @@
 //! Count-Min with plain and conservative update policies.
 
 use crate::snapshot::Snapshottable;
-use crate::storage::{CellGrid, CounterBackend, CounterMatrix, Dense, SharedBackend};
+use crate::storage::{Atomic, CellGrid, CounterBackend, CounterMatrix, Dense};
 use crate::traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
 };
@@ -38,11 +38,10 @@ pub enum UpdatePolicy {
 ///
 /// Counters live in a [`CounterMatrix`] whose backend `B` is a type
 /// parameter. Under the `Atomic` backend the **plain** policy
-/// additionally implements [`SharedSketch`] (lock-free shared ingest);
+/// additionally implements [`SharedSketch`] (row-owned shared ingest);
 /// conservative update cannot — its bump depends on the pre-update
-/// minimum across all rows, a read-modify-write cycle that per-counter
-/// atomicity cannot express (the same state dependence that breaks
-/// linearity).
+/// minimum across all rows, so its rows cannot have separate writers
+/// (the same state dependence that breaks linearity).
 ///
 /// ```
 /// use bas_sketch::{CountMin, PointQuerySketch, SketchParams, UpdatePolicy};
@@ -241,7 +240,7 @@ impl<B: CounterBackend> PointQuerySketch for CountMin<B> {
         match self.policy {
             UpdatePolicy::Plain => {
                 if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
-                    let derive = crate::util::onehash_block_derive(&rd, self.params.depth);
+                    let derive = crate::util::onehash_block_derive(&rd);
                     self.grid.apply_rows_blocked_f64(items, derive);
                     return;
                 }
@@ -278,28 +277,18 @@ impl<B: CounterBackend> PointQuerySketch for CountMin<B> {
     }
 }
 
-impl<B: SharedBackend> SharedSketch for CountMin<B> {
-    /// # Panics
-    /// Panics for [`UpdatePolicy::Conservative`] — conservative update
-    /// is a cross-counter read-modify-write and has no lock-free form.
-    #[inline]
-    fn update_shared(&self, item: u64, delta: f64) {
-        debug_assert!(item < self.params.n, "item outside universe");
-        Self::validate_delta(delta);
-        assert!(
-            self.policy == UpdatePolicy::Plain,
-            "conservative update is state-dependent and cannot be applied through a shared reference"
-        );
-        for (row, h) in self.hashers.iter().enumerate() {
-            self.grid.add_shared_f64(row, h.bucket(item), delta);
-        }
+impl SharedSketch for CountMin<Atomic> {
+    fn shared_rows(&self) -> usize {
+        self.params.depth
     }
 
-    /// Shared batched update through the coalescing kernel
-    /// [`CellGrid::apply_rows_shared_f64`] (plain policy only):
-    /// duplicate hits on one cell collapse into a single atomic RMW
-    /// per block, summed in item order.
-    fn update_batch_shared(&self, items: &[(u64, f64)]) {
+    /// The row owner's pass through
+    /// [`CellGrid::apply_rows_owned_f64`] (plain policy only).
+    ///
+    /// # Panics
+    /// Panics for [`UpdatePolicy::Conservative`] — conservative update
+    /// reads the minimum across all rows, so it cannot be split by row.
+    fn update_rows_shared(&self, rows: std::ops::Range<usize>, items: &[(u64, f64)]) {
         assert!(
             self.policy == UpdatePolicy::Plain,
             "conservative update is state-dependent and cannot be applied through a shared reference"
@@ -309,12 +298,12 @@ impl<B: SharedBackend> SharedSketch for CountMin<B> {
             Self::validate_delta(delta);
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
-            let derive = crate::util::onehash_block_derive(&rd, self.params.depth);
-            self.grid.apply_rows_shared_f64(items, derive);
+            let derive = crate::util::onehash_block_derive(&rd);
+            self.grid.apply_rows_owned_f64(rows, items, derive);
             return;
         }
         let derive = crate::util::hashed_block_derive(&self.hashers);
-        self.grid.apply_rows_shared_f64(items, derive);
+        self.grid.apply_rows_owned_f64(rows, items, derive);
     }
 }
 
@@ -381,14 +370,14 @@ impl<B: CounterBackend> Snapshottable for CountMin<B> {
 /// counters are running maxima, not sums, so a shipped CU plane cannot
 /// be reproduced by addition (mirrors
 /// [`merge_snapshot`](Snapshottable::merge_snapshot)).
-impl<B: SharedBackend> crate::snapshot::AbsorbPlane for CountMin<B> {
+impl crate::snapshot::AbsorbPlane for CountMin<Atomic> {
     fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError> {
         if self.policy != UpdatePolicy::Plain {
             return Err(MergeError::ShapeMismatch {
                 what: "update policies (conservative update is not linear)",
             });
         }
-        self.grid.add_plane_shared(plane);
+        self.grid.absorb_plane(plane);
         Ok(())
     }
 }

@@ -38,9 +38,9 @@ use bas_hash::{AnyBucketHasher, BucketHasher, HashFamily, SplitMix64};
 /// The 16-bit levels live in a [`CounterMatrix`] whose backend `B` is a
 /// type parameter like every other sketch's. CML-CU never implements
 /// shared ingest, though: each increment reads the current minimum
-/// level *and* the RNG — state dependence that lock-free per-counter
-/// updates cannot express (the same property that already makes it
-/// non-mergeable). The generic parameter exists for storage-layer
+/// level *and* the RNG — state dependence across rows that no split of
+/// the rows between writers can honor (the same property that already
+/// makes it non-mergeable). The generic parameter exists for storage-layer
 /// uniformity, and [`Dense`] is the only sensible choice.
 ///
 /// ```

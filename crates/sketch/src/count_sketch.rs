@@ -1,7 +1,7 @@
 //! Count-Sketch: CS-matrix sketching with signed median recovery.
 
 use crate::snapshot::Snapshottable;
-use crate::storage::{CellGrid, CounterBackend, CounterMatrix, Dense, SharedBackend};
+use crate::storage::{Atomic, CellGrid, CounterBackend, CounterMatrix, Dense};
 use crate::traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
 };
@@ -41,7 +41,7 @@ fn row_sign(hasher: &AnyBucketHasher, sign: &SignHash, item: u64) -> i8 {
 /// Counters live in a [`CounterMatrix`] whose backend `B` is a type
 /// parameter: [`Dense`] (the default) for classical exclusive ingest,
 /// `CountSketch<Atomic>` (alias
-/// [`AtomicCountSketch`](crate::AtomicCountSketch)) for lock-free
+/// [`AtomicCountSketch`](crate::AtomicCountSketch)) for
 /// [`SharedSketch`] ingest into one shared sketch.
 ///
 /// ```
@@ -79,8 +79,7 @@ impl CountSketch {
 
 impl<B: CounterBackend> CountSketch<B> {
     /// Creates an empty Count-Sketch with an explicit counter backend
-    /// (e.g. `CountSketch::<Atomic>::with_backend` for lock-free shared
-    /// ingest).
+    /// (e.g. `CountSketch::<Atomic>::with_backend` for shared ingest).
     pub fn with_backend(params: &SketchParams) -> Self {
         let mut seeder = SplitMix64::new(params.seed ^ 0xC0DE_0002);
         let mut family = HashFamily::new(params.hash_kind, &mut seeder, params.width);
@@ -240,7 +239,7 @@ impl<B: CounterBackend> PointQuerySketch for CountSketch<B> {
             debug_assert!(item < self.params.n, "item outside universe");
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
-            let derive = crate::util::onehash_signed_block_derive(&rd, self.params.depth);
+            let derive = crate::util::onehash_signed_block_derive(&rd);
             self.grid.apply_rows_blocked_f64(items, derive);
             return;
         }
@@ -276,43 +275,37 @@ impl<B: CounterBackend> PointQuerySketch for CountSketch<B> {
     }
 }
 
-impl<B: SharedBackend> SharedSketch for CountSketch<B> {
-    #[inline]
-    fn update_shared(&self, item: u64, delta: f64) {
-        debug_assert!(item < self.params.n, "item outside universe");
-        for row in 0..self.params.depth {
-            let b = self.hashers[row].bucket(item);
-            let s = row_sign(&self.hashers[row], &self.signs[row], item) as f64;
-            self.grid.add_shared_f64(row, b, s * delta);
-        }
+impl SharedSketch for CountSketch<Atomic> {
+    fn shared_rows(&self) -> usize {
+        self.params.depth
     }
 
-    /// Shared batched update through the coalescing kernel
-    /// [`CellGrid::apply_rows_shared_f64`]: duplicate hits on one cell
-    /// collapse into a single atomic RMW per block (signed deltas
-    /// summed in item order — bit-for-bit with sequential ingest for
-    /// integer deltas).
-    fn update_batch_shared(&self, items: &[(u64, f64)]) {
+    /// The row owner's pass through
+    /// [`CellGrid::apply_rows_owned_f64`]: signed deltas derived as in
+    /// [`update_batch`](PointQuerySketch::update_batch), restricted to
+    /// `rows`.
+    fn update_rows_shared(&self, rows: std::ops::Range<usize>, items: &[(u64, f64)]) {
         #[cfg(debug_assertions)]
         for &(item, _) in items {
             debug_assert!(item < self.params.n, "item outside universe");
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
-            let derive = crate::util::onehash_signed_block_derive(&rd, self.params.depth);
-            self.grid.apply_rows_shared_f64(items, derive);
+            let derive = crate::util::onehash_signed_block_derive(&rd);
+            self.grid.apply_rows_owned_f64(rows, items, derive);
             return;
         }
-        let hashers = &self.hashers;
-        let signs = &self.signs;
-        self.grid.apply_rows_shared_f64(items, |block, cols, vals| {
-            let n = block.len();
-            for (i, &(x, delta)) in block.iter().enumerate() {
-                for (row, h) in hashers.iter().enumerate() {
-                    cols[row * n + i] = h.bucket(x);
-                    vals[row * n + i] = row_sign(h, &signs[row], x) as f64 * delta;
+        let (hashers, signs) = (&self.hashers, &self.signs);
+        self.grid
+            .apply_rows_owned_f64(rows, items, |block, rows, cols, vals| {
+                let n = block.len();
+                for (lane, row) in rows.enumerate() {
+                    let h = &hashers[row];
+                    for (i, &(x, delta)) in block.iter().enumerate() {
+                        cols[lane * n + i] = h.bucket(x);
+                        vals[lane * n + i] = row_sign(h, &signs[row], x) as f64 * delta;
+                    }
                 }
-            }
-        });
+            });
     }
 }
 
@@ -357,9 +350,9 @@ impl<B: CounterBackend> Snapshottable for CountSketch<B> {
 
 /// Count-Sketch is linear: a shipped plane adds straight into the
 /// live grid (signs live in the hashers, which the seed rebuilds).
-impl<B: SharedBackend> crate::snapshot::AbsorbPlane for CountSketch<B> {
+impl crate::snapshot::AbsorbPlane for CountSketch<Atomic> {
     fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError> {
-        self.grid.add_plane_shared(plane);
+        self.grid.absorb_plane(plane);
         Ok(())
     }
 }

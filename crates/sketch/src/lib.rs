@@ -51,9 +51,8 @@
 //!   performance;
 //! * [`storage::Atomic`] — one `AtomicU64` per counter; exclusive
 //!   access costs the same, and the linear sketches additionally
-//!   implement [`SharedSketch`]: lock-free `&self` ingest, so N
-//!   threads can feed **one** shared sketch (see
-//!   `bas_pipeline::ConcurrentIngest`) instead of N same-seed shards.
+//!   implement [`SharedSketch`]: `&self` ingest by row owners while
+//!   readers copy the counters, under the rule stated on that trait.
 //!
 //! The aliases [`AtomicCountMedian`], [`AtomicCountSketch`] and
 //! [`AtomicCountMin`] name the shared-ingest configurations.
@@ -75,7 +74,7 @@
 //!
 //! On one-hash rows (`bas_hash::HashKind::OneHash`) the linear grid
 //! sketches go further: `update_batch` routes through the **blocked
-//! row-major kernel** [`CounterMatrix::apply_rows`] — one `mix64`
+//! row-major kernel** [`CounterMatrix::apply_rows_blocked`] — one `mix64`
 //! digest per item yields all `d` bucket indices (and Count-Sketch
 //! signs) by per-row multiply-shift re-keying, the whole block's
 //! indices are precomputed, and the counter writes sweep row by row
@@ -119,18 +118,18 @@ pub use range_sum::RangeSumSketch;
 pub use snapshot::{AbsorbPlane, Snapshottable};
 pub use storage::{
     Atomic, CellGrid, CellValue, CellWidth, CounterBackend, CounterMatrix, CounterValue, Dense,
-    EpochCounter, PlaneBank, SealedPlane, SharedBackend,
+    EpochCounter, PlaneBank, SealedPlane,
 };
 pub use traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
 };
 
-/// Count-Median over the [`Atomic`] backend: the lock-free
-/// shared-ingest configuration (implements [`SharedSketch`]).
+/// Count-Median over the [`Atomic`] backend: the shared-ingest
+/// configuration (implements [`SharedSketch`]).
 pub type AtomicCountMedian = CountMedian<Atomic>;
 
-/// Count-Sketch over the [`Atomic`] backend: the lock-free
-/// shared-ingest configuration (implements [`SharedSketch`]).
+/// Count-Sketch over the [`Atomic`] backend: the shared-ingest
+/// configuration (implements [`SharedSketch`]).
 pub type AtomicCountSketch = CountSketch<Atomic>;
 
 /// Count-Min over the [`Atomic`] backend; only

@@ -8,7 +8,7 @@
 
 use crate::count_median::CountMedian;
 use crate::snapshot::{AbsorbPlane, Snapshottable};
-use crate::storage::{CounterBackend, CounterMatrix, Dense, SharedBackend};
+use crate::storage::{Atomic, CounterBackend, CounterMatrix, Dense};
 use crate::traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
 };
@@ -272,20 +272,16 @@ impl<B: CounterBackend> MergeableSketch for RangeSumSketch<B> {
     }
 }
 
-impl<B: SharedBackend> SharedSketch for RangeSumSketch<B> {
-    /// Applies `x_item ← x_item + delta` through a **shared** reference,
-    /// lock-free — one shared update per dyadic level.
-    fn update_shared(&self, item: u64, delta: f64) {
-        assert!(item < self.n, "item outside universe");
-        for (l, sketch) in self.levels.iter().enumerate() {
-            sketch.update_shared(item >> l, delta);
-        }
+impl SharedSketch for RangeSumSketch<Atomic> {
+    /// Every level has the same depth; row `r` of the stack is row `r`
+    /// of every level.
+    fn shared_rows(&self) -> usize {
+        self.levels[0].shared_rows()
     }
 
-    /// Shared-reference batch update: shifts items into each level's
-    /// block coordinates and feeds that level's
-    /// [`SharedSketch::update_batch_shared`] fast path.
-    fn update_batch_shared(&self, items: &[(u64, f64)]) {
+    /// Shifts items into each level's block coordinates and feeds that
+    /// level's [`SharedSketch::update_rows_shared`] for the same rows.
+    fn update_rows_shared(&self, rows: std::ops::Range<usize>, items: &[(u64, f64)]) {
         for &(item, _) in items {
             assert!(item < self.n, "item outside universe");
         }
@@ -296,7 +292,7 @@ impl<B: SharedBackend> SharedSketch for RangeSumSketch<B> {
                     u.0 >>= 1;
                 }
             }
-            sketch.update_batch_shared(&shifted);
+            sketch.update_rows_shared(rows.clone(), &shifted);
         }
     }
 }
@@ -357,7 +353,7 @@ impl<B: CounterBackend> Snapshottable for RangeSumSketch<B> {
 /// The dyadic stack absorbs level by level — each level is a linear
 /// Count-Median, so a shipped stack of planes rebuilds the whole
 /// hierarchy exactly.
-impl<B: SharedBackend> AbsorbPlane for RangeSumSketch<B> {
+impl AbsorbPlane for RangeSumSketch<Atomic> {
     fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError> {
         if plane.len() != self.levels.len() {
             return Err(MergeError::ShapeMismatch {

@@ -149,11 +149,10 @@ pub trait Snapshottable: PointQuerySketch + Sync {
 /// bit** — so every estimate the destination serves is identical to
 /// what the source would have served.
 ///
-/// The absorb goes through the lock-free
-/// [`add_matrix_shared`](crate::CounterMatrix::add_matrix_shared)
-/// path, so it composes with concurrent
-/// [`update_shared`](SharedSketch::update_shared) writers the same way
-/// any other shared write does.
+/// The absorb writes every row through the owner-write
+/// [`AtomicStore::add_owned`](crate::storage::AtomicStore::add_owned),
+/// so the caller must be the sketch's only writer for its duration
+/// (the [`SharedSketch`] rule); seqlock readers are unaffected.
 pub trait AbsorbPlane: Snapshottable + SharedSketch {
     /// Adds `plane`'s counters into the live sketch cell-wise through
     /// a shared reference.

@@ -17,31 +17,21 @@
 //!   existed, so single-threaded throughput is unchanged.
 //! * [`Atomic`] — one `AtomicU64` per counter holding the value's bit
 //!   pattern. Exclusive access behaves exactly like `Dense` (plain
-//!   loads/stores through `get_mut`, no bus locking); *shared* (`&self`)
-//!   access additionally supports lock-free accumulation via
-//!   [`SharedCounterStore::add_shared`] — a `fetch_add` for integer
-//!   counters, a CAS loop over bit-cast floats for `f64`. This is what
-//!   lets N ingest threads feed **one** sketch (1× memory) instead of N
-//!   same-seed shards (N× memory); see `bas_pipeline::ConcurrentIngest`.
+//!   loads/stores through `get_mut`). Through a *shared* (`&self`)
+//!   reference, a row's owner writes with [`AtomicStore::add_owned`]
+//!   while readers copy cells, under the
+//!   [`SharedSketch`](crate::SharedSketch) rule.
 //!
 //! The backend is a type parameter of every sketch
 //! (e.g. `CountSketch<B: CounterBackend = Dense>`), so the choice is
 //! made at construction time and the compiler monomorphizes the hot
-//! paths for each storage strategy. Future backends (compact/quantized
-//! counters, NUMA-aware placement) plug in by implementing
-//! [`CounterBackend`] + [`CounterStore`].
+//! paths for each storage strategy.
 //!
-//! ## Exactness of shared accumulation
-//!
-//! `add_shared` applies updates atomically but in nondeterministic
-//! order. For **integer-valued** `f64` deltas (the paper's arrival
-//! model) every intermediate sum below `2^53` is exact, and exact
-//! addition is commutative and associative — so concurrent ingest is
-//! bit-for-bit equal to any sequential order. For general real deltas
-//! the result can differ in the last ulp per counter (the same caveat
-//! `ShardedIngest` documents for shard merging). The property tests in
-//! `tests/concurrent_ingest.rs` pin down both regimes.
+//! Both backends write through one blocked row sweep
+//! ([`CounterMatrix::apply_rows_blocked`] under `&mut`,
+//! [`CounterMatrix::apply_rows_owned`] under `&self` for a row range).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A seqlock-style write-epoch sequence published by shared sketches to
@@ -159,23 +149,6 @@ pub trait CounterValue:
 
     /// Inverse of [`to_bits`](CounterValue::to_bits).
     fn from_bits(bits: u64) -> Self;
-
-    /// Lock-free `*cell += delta` on a cell holding `to_bits` patterns.
-    ///
-    /// The default is a compare-exchange loop (required for floats,
-    /// whose addition has no single-instruction atomic form); integer
-    /// implementations override it with a plain `fetch_add`.
-    #[inline]
-    fn atomic_add(cell: &AtomicU64, delta: Self) {
-        let mut current = cell.load(Ordering::Relaxed);
-        loop {
-            let next = Self::from_bits(current).add(delta).to_bits();
-            match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
-    }
 }
 
 impl CounterValue for f64 {
@@ -234,13 +207,6 @@ impl CounterValue for i64 {
     fn from_bits(bits: u64) -> Self {
         bits as i64
     }
-
-    /// Two's-complement wrapping addition is the same bit operation as
-    /// unsigned wrapping addition, so a single `fetch_add` suffices.
-    #[inline]
-    fn atomic_add(cell: &AtomicU64, delta: Self) {
-        cell.fetch_add(delta as u64, Ordering::Relaxed);
-    }
 }
 
 impl CounterValue for u64 {
@@ -269,11 +235,6 @@ impl CounterValue for u64 {
     #[inline]
     fn from_bits(bits: u64) -> Self {
         bits
-    }
-
-    #[inline]
-    fn atomic_add(cell: &AtomicU64, delta: Self) {
-        cell.fetch_add(delta, Ordering::Relaxed);
     }
 }
 
@@ -304,8 +265,6 @@ impl CounterValue for u16 {
     fn from_bits(bits: u64) -> Self {
         bits as u16
     }
-    // No fetch_add override: a u64 fetch_add would carry past bit 15
-    // instead of wrapping at u16 range, so the CAS default stays.
 }
 
 /// Compact cell mode for integer-delta workloads: half the bytes of
@@ -338,8 +297,6 @@ impl CounterValue for u32 {
     fn from_bits(bits: u64) -> Self {
         bits as u32
     }
-    // No fetch_add override: a u64 fetch_add would carry past bit 31
-    // instead of wrapping at u32 range, so the CAS default stays.
 }
 
 /// A [`CounterValue`] that can act as a sketch grid cell: convertible
@@ -474,7 +431,7 @@ impl CellWidth {
     }
 }
 
-/// Items per block of [`CounterMatrix::apply_rows`]: large enough to
+/// Items per block of [`CounterMatrix::apply_rows_blocked`]: large enough to
 /// amortize the per-block row loop, small enough that the index +
 /// increment scratch (`2 · APPLY_BLOCK · depth` words) stays
 /// L1-resident at production depths.
@@ -554,19 +511,6 @@ pub trait CounterStore<T: CounterValue>: Clone + std::fmt::Debug + Send + Sync +
     }
 }
 
-/// A [`CounterStore`] that additionally supports **lock-free shared
-/// accumulation**: `add_shared` takes `&self`, so any number of threads
-/// may feed the same store concurrently.
-///
-/// Only accumulation is shared; reads still race with writers (a torn
-/// *schedule*, never a torn *value* — each cell is a single atomic).
-/// Callers quiesce writers before querying, as
-/// `bas_pipeline::ConcurrentIngest` does around its flushes.
-pub trait SharedCounterStore<T: CounterValue>: CounterStore<T> {
-    /// `cells[idx] += delta`, atomically, through a shared reference.
-    fn add_shared(&self, idx: usize, delta: T);
-}
-
 /// Marker type selecting a storage strategy for [`CounterMatrix`].
 ///
 /// The generic-associated `Store` is what actually holds cells; the
@@ -588,8 +532,9 @@ pub trait CounterBackend:
 pub struct Dense;
 
 /// One `AtomicU64` per counter: exclusive access costs the same as
-/// [`Dense`] (plain `get_mut` loads/stores), shared access supports
-/// lock-free [`add_shared`](SharedCounterStore::add_shared).
+/// [`Dense`] (plain `get_mut` loads/stores); through a shared reference
+/// a row's single owner writes with [`AtomicStore::add_owned`] while
+/// readers copy cells.
 ///
 /// Cells narrower than 64 bits (e.g. the `u16` levels of Count-Min-Log)
 /// still occupy a full word each under this backend; the bit-packed
@@ -689,6 +634,20 @@ impl<T: CounterValue> AtomicStore<T> {
             _value: std::marker::PhantomData,
         }
     }
+
+    /// `cells[idx] += delta` through a shared reference, by the cell's
+    /// **only** writer: a relaxed load, the add, a relaxed store — no
+    /// read-modify-write, so it runs at plain-store speed. A concurrent
+    /// reader sees the old or the new value, never a torn one. Two
+    /// concurrent writers on one cell would lose an update, which is
+    /// why the [`SharedSketch`](crate::SharedSketch) rule gives every
+    /// row one writer at a time.
+    #[inline]
+    pub fn add_owned(&self, idx: usize, delta: T) {
+        let cell = &self.cells[idx];
+        let next = T::from_bits(cell.load(Ordering::Relaxed)).add(delta);
+        cell.store(next.to_bits(), Ordering::Relaxed);
+    }
 }
 
 impl<T: CounterValue> Clone for AtomicStore<T> {
@@ -744,34 +703,115 @@ impl<T: CounterValue> CounterStore<T> for AtomicStore<T> {
     }
 }
 
-impl<T: CounterValue> SharedCounterStore<T> for AtomicStore<T> {
-    #[inline]
-    fn add_shared(&self, idx: usize, delta: T) {
-        T::atomic_add(&self.cells[idx], delta);
-    }
-}
-
 impl CounterBackend for Atomic {
     type Store<T: CounterValue> = AtomicStore<T>;
     const LABEL: &'static str = "atomic";
 }
 
-/// A [`CounterBackend`] whose stores support lock-free shared
-/// accumulation for **every** cell type — the bound generic code (cell
-/// grids, shared batch kernels) uses where the per-store
-/// `B::Store<T>: SharedCounterStore<T>` clause cannot be named.
-///
-/// Today this is exactly [`Atomic`]; a future backend adds itself by
-/// forwarding to its store's [`SharedCounterStore::add_shared`].
-pub trait SharedBackend: CounterBackend {
-    /// `store[idx] += delta`, atomically, through a shared reference.
-    fn add_shared_cell<T: CounterValue>(store: &Self::Store<T>, idx: usize, delta: T);
+/// Where the blocked row sweep writes: an exclusive store, or an
+/// [`Atomic`] store through its rows' owner.
+trait CellSink<T> {
+    /// Bytes the whole grid occupies (the prefetch threshold's input).
+    fn bytes(&self) -> usize;
+
+    /// A speculative read of a cell the sweep will write soon.
+    fn touch(&self, idx: usize);
+
+    fn add_cell(&mut self, idx: usize, delta: T);
 }
 
-impl SharedBackend for Atomic {
+/// Exclusive (`&mut`) writes through [`CounterStore::add`].
+struct Exclusive<'a, S>(&'a mut S);
+
+impl<T: CounterValue, S: CounterStore<T>> CellSink<T> for Exclusive<'_, S> {
+    fn bytes(&self) -> usize {
+        self.0.len() * std::mem::size_of::<T>()
+    }
+
     #[inline]
-    fn add_shared_cell<T: CounterValue>(store: &AtomicStore<T>, idx: usize, delta: T) {
-        store.add_shared(idx, delta);
+    fn touch(&self, idx: usize) {
+        std::hint::black_box(self.0.get(idx));
+    }
+
+    #[inline]
+    fn add_cell(&mut self, idx: usize, delta: T) {
+        self.0.add(idx, delta);
+    }
+}
+
+/// Shared (`&self`) writes through [`AtomicStore::add_owned`].
+struct Owned<'a, T>(&'a AtomicStore<T>);
+
+impl<T: CounterValue> CellSink<T> for Owned<'_, T> {
+    fn bytes(&self) -> usize {
+        self.0.len() * std::mem::size_of::<AtomicU64>()
+    }
+
+    #[inline]
+    fn touch(&self, idx: usize) {
+        std::hint::black_box(self.0.get(idx));
+    }
+
+    #[inline]
+    fn add_cell(&mut self, idx: usize, delta: T) {
+        self.0.add_owned(idx, delta);
+    }
+}
+
+/// The blocked row sweep behind both backends' batch kernels, over the
+/// rows in `rows`; see [`CounterMatrix::apply_rows_blocked`].
+fn sweep_rows<T, P, D>(
+    cells: &mut impl CellSink<T>,
+    width: usize,
+    rows: Range<usize>,
+    items: &[(u64, P)],
+    mut block_derive: D,
+) where
+    T: CounterValue,
+    P: Copy,
+    D: FnMut(&[(u64, P)], Range<usize>, &mut [usize], &mut [T]),
+{
+    let span = rows.len();
+    if span == 0 || items.is_empty() {
+        return;
+    }
+    let block_len = APPLY_BLOCK.min(items.len());
+    let mut cols = vec![0usize; block_len * span];
+    let mut vals = vec![T::ZERO; block_len * span];
+    // Prefetch only pays once the grid spills past L2; for a
+    // cache-resident grid the extra loads are pure overhead.
+    let prefetch = cells.bytes() > APPLY_PREFETCH_MIN_BYTES;
+    for block in items.chunks(APPLY_BLOCK) {
+        let n = block.len();
+        block_derive(
+            block,
+            rows.clone(),
+            &mut cols[..n * span],
+            &mut vals[..n * span],
+        );
+        for (lane, row) in rows.clone().enumerate() {
+            let base = row * width;
+            let (rc, rv) = (
+                &cols[lane * n..(lane + 1) * n],
+                &vals[lane * n..(lane + 1) * n],
+            );
+            debug_assert!(
+                rc.iter().all(|&c| c < width),
+                "bucket index outside the row"
+            );
+            if prefetch {
+                for i in 0..n {
+                    if i + APPLY_PREFETCH < n {
+                        cells.touch(base + rc[i + APPLY_PREFETCH]);
+                    }
+                    cells.add_cell(base + rc[i], rv[i]);
+                }
+            } else {
+                for i in 0..n {
+                    cells.add_cell(base + rc[i], rv[i]);
+                }
+            }
+        }
     }
 }
 
@@ -793,8 +833,12 @@ impl SharedBackend for Atomic {
 /// dense.add(1, 3, 2.5);
 /// assert_eq!(dense.get(1, 3), 2.5);
 ///
+/// // Row 1's owner writes through &self; readers may copy cells meanwhile.
 /// let shared = CounterMatrix::<f64, Atomic>::new(4, 2);
-/// shared.add_shared(1, 3, 2.5); // &self: any number of threads may do this
+/// shared.apply_rows_owned(1..2, &[(3, 2.5)], |_, _, cols, vals| {
+///     cols[0] = 3;
+///     vals[0] = 2.5;
+/// });
 /// assert_eq!(shared.get(1, 3), 2.5);
 /// ```
 #[derive(Debug, Clone)]
@@ -878,119 +922,45 @@ impl<T: CounterValue, B: CounterBackend> CounterMatrix<T, B> {
         self.store.add(self.idx(row, col), delta);
     }
 
-    /// Row-major batch kernel: applies a block of items' per-row
-    /// increments with the index math hoisted ahead of the write sweep.
+    /// Row-major batch kernel under exclusive access: applies a batch
+    /// of items' per-row increments with the index math hoisted ahead
+    /// of the write sweep.
     ///
-    /// `derive(item, payload, cols, vals)` fills one item's bucket
-    /// index and increment per row (`cols.len() == vals.len() ==
-    /// depth`; every index must be `< width`). The kernel processes
-    /// `items` in blocks of [`APPLY_BLOCK`]: it first derives the
-    /// whole block's indices/increments into two scratch buffers, then
-    /// sweeps the counter writes **row by row** within the block, so
-    /// each row's slice of the grid is touched once per block instead
-    /// of being interleaved with `depth − 1` other rows per item.
+    /// The kernel processes `items` in blocks of [`APPLY_BLOCK`]. For a
+    /// block of `n` items, `block_derive(block, rows, cols, vals)`
+    /// receives scratch of length `n · rows.len()` and must fill row
+    /// `r`'s bucket of item `i` at `cols[(r − rows.start)·n + i]` (and
+    /// its increment at `vals[(r − rows.start)·n + i]`; every index
+    /// must be `< width`) — row-major lanes, so it can run
+    /// data-parallel (SIMD) maps over each row. Here `rows` is always
+    /// `0..depth`; [`apply_rows_owned`](CounterMatrix::apply_rows_owned)
+    /// passes a row owner's range. The writes then sweep **row by row**
+    /// within the block, each lane in item order, so each row's slice
+    /// of the grid is touched once per block instead of being
+    /// interleaved with `depth − 1` other rows per item.
     ///
     /// Blocking matters: sweeping rows over the *whole* batch loses
     /// (re-streaming a multi-MiB batch once per row costs more than the
     /// grid misses it saves — measured in `throughput_ingest`), while a
     /// block's scratch stays L1-resident. For grids that spill past L2
     /// the sweep also issues a speculative read [`APPLY_PREFETCH`]
-    /// items ahead, pulling the line in before its read-modify-write —
-    /// a software prefetch in safe Rust.
+    /// items ahead, pulling the line in before its read-modify-write.
     ///
-    /// Addition is the backend's exclusive-access `add`, so the result
-    /// is bit-for-bit the per-item loop's (same increments, same cells,
-    /// reordered only **across items within a block per row** — exact
-    /// for integer deltas and for f64 sums of per-item derived values,
-    /// since each cell still receives its increments in item order).
-    pub fn apply_rows<P, D>(&mut self, items: &[(u64, P)], mut derive: D)
+    /// Each cell receives the same increments in item order, so the
+    /// result is bit-for-bit the per-item loop's for any deltas.
+    pub fn apply_rows_blocked<P, D>(&mut self, items: &[(u64, P)], block_derive: D)
     where
         P: Copy,
-        D: FnMut(u64, P, &mut [usize], &mut [T]),
+        D: FnMut(&[(u64, P)], Range<usize>, &mut [usize], &mut [T]),
     {
-        let depth = self.depth;
-        if depth == 0 || items.is_empty() {
-            return;
-        }
-        let block_len = APPLY_BLOCK.min(items.len());
-        let mut cols = vec![0usize; block_len * depth];
-        let mut vals = vec![T::ZERO; block_len * depth];
-        // Prefetch only pays once the grid spills past L2; for a
-        // cache-resident grid the extra loads are pure overhead.
-        let prefetch = self.len() * std::mem::size_of::<T>() > APPLY_PREFETCH_MIN_BYTES;
-        for block in items.chunks(APPLY_BLOCK) {
-            for (i, &(x, payload)) in block.iter().enumerate() {
-                let s = i * depth;
-                derive(x, payload, &mut cols[s..s + depth], &mut vals[s..s + depth]);
-            }
-            for row in 0..depth {
-                if prefetch {
-                    for i in 0..block.len() {
-                        if i + APPLY_PREFETCH < block.len() {
-                            let ahead = cols[(i + APPLY_PREFETCH) * depth + row];
-                            std::hint::black_box(self.get(row, ahead));
-                        }
-                        let o = i * depth + row;
-                        self.add(row, cols[o], vals[o]);
-                    }
-                } else {
-                    for i in 0..block.len() {
-                        let o = i * depth + row;
-                        self.add(row, cols[o], vals[o]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Block-at-a-time variant of [`apply_rows`](CounterMatrix::apply_rows):
-    /// the derivation callback fills a whole block's scratch at once,
-    /// in **row-major** layout, so it can run data-parallel (SIMD) maps
-    /// over each row's contiguous lane instead of deriving item by
-    /// item.
-    ///
-    /// For a block of `n ≤ APPLY_BLOCK` items, `block_derive(block,
-    /// cols, vals)` receives scratch of length `n · depth` and must
-    /// fill row `r`'s bucket of item `i` at `cols[r·n + i]` (and its
-    /// increment at `vals[r·n + i]`; every index must be `< width`).
-    /// The write sweep then walks each row's lane in item order, so the
-    /// result is bit-for-bit identical to
-    /// [`apply_rows`](CounterMatrix::apply_rows) with an equivalent
-    /// per-item derivation — same increments, same cells, same
-    /// within-cell order.
-    pub fn apply_rows_blocked<P, D>(&mut self, items: &[(u64, P)], mut block_derive: D)
-    where
-        P: Copy,
-        D: FnMut(&[(u64, P)], &mut [usize], &mut [T]),
-    {
-        let depth = self.depth;
-        if depth == 0 || items.is_empty() {
-            return;
-        }
-        let block_len = APPLY_BLOCK.min(items.len());
-        let mut cols = vec![0usize; block_len * depth];
-        let mut vals = vec![T::ZERO; block_len * depth];
-        let prefetch = self.len() * std::mem::size_of::<T>() > APPLY_PREFETCH_MIN_BYTES;
-        for block in items.chunks(APPLY_BLOCK) {
-            let n = block.len();
-            block_derive(block, &mut cols[..n * depth], &mut vals[..n * depth]);
-            for row in 0..depth {
-                let lane = row * n..(row + 1) * n;
-                let (rc, rv) = (&cols[lane.clone()], &vals[lane]);
-                if prefetch {
-                    for i in 0..n {
-                        if i + APPLY_PREFETCH < n {
-                            std::hint::black_box(self.get(row, rc[i + APPLY_PREFETCH]));
-                        }
-                        self.add(row, rc[i], rv[i]);
-                    }
-                } else {
-                    for i in 0..n {
-                        self.add(row, rc[i], rv[i]);
-                    }
-                }
-            }
-        }
+        let (width, depth) = (self.width, self.depth);
+        sweep_rows(
+            &mut Exclusive(&mut self.store),
+            width,
+            0..depth,
+            items,
+            block_derive,
+        );
     }
 
     /// Element-wise addition of another matrix of identical shape —
@@ -1072,110 +1042,31 @@ impl<T: CounterValue, B: CounterBackend> CounterMatrix<T, B> {
     }
 }
 
-impl<T: CounterValue, B: CounterBackend> CounterMatrix<T, B>
-where
-    B::Store<T>: SharedCounterStore<T>,
-{
-    /// Adds `delta` to a cell through a **shared** reference,
-    /// lock-free. Only backends whose store implements
-    /// [`SharedCounterStore`] (today: [`Atomic`]) expose this.
-    #[inline]
-    pub fn add_shared(&self, row: usize, col: usize, delta: T) {
-        self.store.add_shared(self.idx(row, col), delta);
-    }
-
-    /// Adds every cell of a [`Dense`] matrix of identical shape into
-    /// this one through the **shared** lock-free path — the
-    /// destination half of a counter-plane transfer. Moving a sketch
-    /// between hosts ships only its counters (hashers are rebuilt from
-    /// the seed); by linearity, adding the shipped plane into a live
-    /// zeroed sketch reproduces the original counters exactly, and on
-    /// integer-delta streams the result is bit-for-bit.
+impl<T: CounterValue> CounterMatrix<T, Atomic> {
+    /// [`apply_rows_blocked`](CounterMatrix::apply_rows_blocked)
+    /// through a **shared** reference, for the rows in `rows` only:
+    /// the kernel of a row owner. Cells are written with
+    /// [`AtomicStore::add_owned`], so the caller must be the only
+    /// writer of these rows for the duration of the call (the
+    /// [`SharedSketch`](crate::SharedSketch) rule); readers may copy
+    /// cells meanwhile. The result is bit-for-bit the exclusive
+    /// kernel's on the same rows.
     ///
     /// # Panics
-    /// Panics on shape mismatch.
-    pub fn add_matrix_shared(&self, other: &CounterMatrix<T, Dense>) {
-        assert_eq!(self.width, other.width, "matrix widths differ");
-        assert_eq!(self.depth, other.depth, "matrix depths differ");
-        for (i, &delta) in other.store.as_slice().iter().enumerate() {
-            self.store.add_shared(i, delta);
-        }
-    }
-}
-
-impl<T: CounterValue, B: SharedBackend> CounterMatrix<T, B> {
-    /// [`add_shared`](CounterMatrix::add_shared) spelled through the
-    /// [`SharedBackend`] bound, for generic code that cannot name the
-    /// per-store `SharedCounterStore` clause.
-    #[inline]
-    pub fn add_cell_shared(&self, row: usize, col: usize, delta: T) {
-        B::add_shared_cell(&self.store, self.idx(row, col), delta);
-    }
-
-    /// Shared-path batch kernel: the `&self` counterpart of
-    /// [`apply_rows_blocked`](CounterMatrix::apply_rows_blocked), with
-    /// duplicate-cell coalescing in front of the atomic store.
-    ///
-    /// `block_derive` has the same contract as in `apply_rows_blocked`
-    /// (row-major scratch, `cols[r·n + i]` / `vals[r·n + i]`). Instead
-    /// of one atomic RMW per (item, row), the kernel sorts each row's
-    /// lane by bucket, folds every run of same-bucket hits into one
-    /// accumulated delta — in item order, so within-cell addition order
-    /// matches the sequential path — and issues **one**
-    /// `fetch_add`/CAS per distinct cell touched by the block. On
-    /// skewed streams (the interesting ones) that collapses most of the
-    /// block's atomics; on uniform streams it costs one small sort of
-    /// L1-resident scratch.
-    ///
-    /// Exactness matches [`add_shared`](SharedCounterStore::add_shared):
-    /// for integer-valued deltas the result is bit-for-bit equal to
-    /// sequential per-item ingest; for general reals the per-cell
-    /// pre-accumulation can differ in the last ulp.
-    pub fn apply_rows_shared<P, D>(&self, items: &[(u64, P)], mut block_derive: D)
+    /// Panics if `rows` reaches past the matrix depth.
+    pub fn apply_rows_owned<P, D>(&self, rows: Range<usize>, items: &[(u64, P)], block_derive: D)
     where
         P: Copy,
-        D: FnMut(&[(u64, P)], &mut [usize], &mut [T]),
+        D: FnMut(&[(u64, P)], Range<usize>, &mut [usize], &mut [T]),
     {
-        let depth = self.depth;
-        if depth == 0 || items.is_empty() {
-            return;
-        }
-        debug_assert!(
-            self.width <= u32::MAX as usize,
-            "apply_rows_shared packs (bucket, item) into 32+32 bits"
+        assert!(rows.end <= self.depth, "rows past the matrix depth");
+        sweep_rows(
+            &mut Owned(&self.store),
+            self.width,
+            rows,
+            items,
+            block_derive,
         );
-        let block_len = APPLY_BLOCK.min(items.len());
-        let mut cols = vec![0usize; block_len * depth];
-        let mut vals = vec![T::ZERO; block_len * depth];
-        let mut order = vec![0u64; block_len];
-        for block in items.chunks(APPLY_BLOCK) {
-            let n = block.len();
-            block_derive(block, &mut cols[..n * depth], &mut vals[..n * depth]);
-            for row in 0..depth {
-                let lane = row * n..(row + 1) * n;
-                let (rc, rv) = (&cols[lane.clone()], &vals[lane]);
-                let ord = &mut order[..n];
-                for (i, slot) in ord.iter_mut().enumerate() {
-                    *slot = ((rc[i] as u64) << 32) | i as u64;
-                }
-                // Sorting (bucket << 32) | item keeps same-bucket hits
-                // in item order, so the fold below is order-exact.
-                ord.sort_unstable();
-                let base = row * self.width;
-                let mut k = 0;
-                while k < n {
-                    let col = (ord[k] >> 32) as usize;
-                    let mut acc = rv[(ord[k] & 0xFFFF_FFFF) as usize];
-                    let mut j = k + 1;
-                    while j < n && (ord[j] >> 32) as usize == col {
-                        acc = acc.add(rv[(ord[j] & 0xFFFF_FFFF) as usize]);
-                        j += 1;
-                    }
-                    B::add_shared_cell(&self.store, base + col, acc);
-                    k = j;
-                }
-            }
-        }
     }
 }
 
@@ -1391,14 +1282,14 @@ impl<B: CounterBackend> CellGrid<B> {
     /// lane and truncate the block into the cell domain afterwards.
     pub fn apply_rows_blocked_f64<D>(&mut self, items: &[(u64, f64)], block_derive: D)
     where
-        D: FnMut(&[(u64, f64)], &mut [usize], &mut [f64]),
+        D: FnMut(&[(u64, f64)], Range<usize>, &mut [usize], &mut [f64]),
     {
         match self {
             CellGrid::F64(m) => m.apply_rows_blocked(items, block_derive),
-            CellGrid::I64(m) => apply_blocked_converted(m, items, block_derive),
-            CellGrid::U64(m) => apply_blocked_converted(m, items, block_derive),
-            CellGrid::U32(m) => apply_blocked_converted(m, items, block_derive),
-            CellGrid::U16(m) => apply_blocked_converted(m, items, block_derive),
+            CellGrid::I64(m) => m.apply_rows_blocked(items, converted(block_derive)),
+            CellGrid::U64(m) => m.apply_rows_blocked(items, converted(block_derive)),
+            CellGrid::U32(m) => m.apply_rows_blocked(items, converted(block_derive)),
+            CellGrid::U16(m) => m.apply_rows_blocked(items, converted(block_derive)),
         }
     }
 
@@ -1471,45 +1362,40 @@ impl<B: CounterBackend> CellGrid<B> {
     }
 }
 
-impl<B: SharedBackend> CellGrid<B> {
-    /// Adds an f64 delta to a cell through a **shared** reference,
-    /// lock-free (truncated into the cell domain first).
-    #[inline]
-    pub fn add_shared_f64(&self, row: usize, col: usize, delta: f64) {
-        with_cells!(self, m => m.add_cell_shared(row, col, CellValue::cell_from_f64(delta)))
-    }
-
-    /// [`CounterMatrix::apply_rows_shared`] over f64 deltas — the
-    /// shared/Atomic batch kernel with duplicate-cell coalescing.
-    /// Integer variants truncate each item's delta into the cell domain
-    /// **before** coalescing, so per-cell accumulation wraps exactly
-    /// like sequential per-item ingest.
-    pub fn apply_rows_shared_f64<D>(&self, items: &[(u64, f64)], block_derive: D)
+impl CellGrid<Atomic> {
+    /// [`CounterMatrix::apply_rows_owned`] over f64 deltas — the row
+    /// owner's kernel, converting like
+    /// [`apply_rows_blocked_f64`](CellGrid::apply_rows_blocked_f64).
+    ///
+    /// # Panics
+    /// Panics if `rows` reaches past the grid depth.
+    pub fn apply_rows_owned_f64<D>(&self, rows: Range<usize>, items: &[(u64, f64)], block_derive: D)
     where
-        D: FnMut(&[(u64, f64)], &mut [usize], &mut [f64]),
+        D: FnMut(&[(u64, f64)], Range<usize>, &mut [usize], &mut [f64]),
     {
         match self {
-            CellGrid::F64(m) => m.apply_rows_shared(items, block_derive),
-            CellGrid::I64(m) => apply_shared_converted(m, items, block_derive),
-            CellGrid::U64(m) => apply_shared_converted(m, items, block_derive),
-            CellGrid::U32(m) => apply_shared_converted(m, items, block_derive),
-            CellGrid::U16(m) => apply_shared_converted(m, items, block_derive),
+            CellGrid::F64(m) => m.apply_rows_owned(rows, items, block_derive),
+            CellGrid::I64(m) => m.apply_rows_owned(rows, items, converted(block_derive)),
+            CellGrid::U64(m) => m.apply_rows_owned(rows, items, converted(block_derive)),
+            CellGrid::U32(m) => m.apply_rows_owned(rows, items, converted(block_derive)),
+            CellGrid::U16(m) => m.apply_rows_owned(rows, items, converted(block_derive)),
         }
     }
 
-    /// Adds every cell of a dense f64 plane into this grid through the
-    /// shared lock-free path, truncating into the cell domain — the
-    /// destination half of a counter-plane transfer onto a compact-cell
-    /// sketch.
+    /// Adds every cell of a dense f64 plane into this grid through a
+    /// shared reference, truncating into the cell domain — the
+    /// destination half of a counter-plane transfer. Writes go through
+    /// [`AtomicStore::add_owned`], so the caller must own every row
+    /// (no concurrent writer) for the duration of the call.
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn add_plane_shared(&self, plane: &CounterMatrix<f64, Dense>) {
+    pub fn absorb_plane(&self, plane: &CounterMatrix<f64, Dense>) {
         with_cells!(self, m => {
             assert_eq!(m.width(), plane.width, "matrix widths differ");
             assert_eq!(m.depth(), plane.depth, "matrix depths differ");
             for (i, &delta) in plane.store.as_slice().iter().enumerate() {
-                B::add_shared_cell(&m.store, i, CellValue::cell_from_f64(delta));
+                m.store.add_owned(i, CellValue::cell_from_f64(delta));
             }
         })
     }
@@ -1523,34 +1409,19 @@ impl<B: CounterBackend, B2: CounterBackend> PartialEq<CellGrid<B2>> for CellGrid
     }
 }
 
-fn apply_blocked_converted<T: CellValue, B: CounterBackend>(
-    m: &mut CounterMatrix<T, B>,
-    items: &[(u64, f64)],
-    mut block_derive: impl FnMut(&[(u64, f64)], &mut [usize], &mut [f64]),
-) {
+/// Wraps an f64 block derivation for an integer-cell kernel: derives
+/// into an f64 lane, then truncates it into the cell domain.
+fn converted<T: CellValue>(
+    mut block_derive: impl FnMut(&[(u64, f64)], Range<usize>, &mut [usize], &mut [f64]),
+) -> impl FnMut(&[(u64, f64)], Range<usize>, &mut [usize], &mut [T]) {
     let mut lane: Vec<f64> = Vec::new();
-    m.apply_rows_blocked(items, |block, cols, vals| {
+    move |block, rows, cols, vals| {
         lane.resize(vals.len(), 0.0);
-        block_derive(block, cols, &mut lane);
+        block_derive(block, rows, cols, &mut lane);
         for (o, &f) in vals.iter_mut().zip(lane.iter()) {
             *o = T::cell_from_f64(f);
         }
-    });
-}
-
-fn apply_shared_converted<T: CellValue, B: SharedBackend>(
-    m: &CounterMatrix<T, B>,
-    items: &[(u64, f64)],
-    mut block_derive: impl FnMut(&[(u64, f64)], &mut [usize], &mut [f64]),
-) {
-    let mut lane: Vec<f64> = Vec::new();
-    m.apply_rows_shared(items, |block, cols, vals| {
-        lane.resize(vals.len(), 0.0);
-        block_derive(block, cols, &mut lane);
-        for (o, &f) in vals.iter_mut().zip(lane.iter()) {
-            *o = T::cell_from_f64(f);
-        }
-    });
+    }
 }
 
 fn row_dot_converted<T: CellValue, B: CounterBackend>(
@@ -1962,50 +1833,23 @@ mod tests {
     }
 
     #[test]
-    fn atomic_shared_add_is_visible() {
-        let m = CounterMatrix::<f64, Atomic>::new(3, 2);
-        m.add_shared(0, 1, 1.5);
-        m.add_shared(0, 1, 2.5);
-        m.add_shared(1, 2, -1.0);
-        assert_eq!(m.get(0, 1), 4.0);
-        assert_eq!(m.get(1, 2), -1.0);
-    }
-
-    #[test]
-    fn shared_integer_adds_from_many_threads_are_exact() {
-        let m = CounterMatrix::<i64, Atomic>::new(8, 1);
+    fn row_owners_on_many_threads_match_sequential_bit_for_bit() {
+        // One writer per row: fractional deltas land in item order in
+        // every cell, so threads owning disjoint rows reproduce the
+        // exclusive kernel exactly.
+        let items: Vec<(u64, f64)> = (0..1000u64)
+            .map(|x| (x * 7 + 3, 0.1 + x as f64 / 3.0))
+            .collect();
+        let mut sequential = CounterMatrix::<f64>::new(16, 4);
+        sequential.apply_rows_blocked(&items, derive_block);
+        let shared = CounterMatrix::<f64, Atomic>::new(16, 4);
         std::thread::scope(|scope| {
-            for t in 0..4 {
-                let m = &m;
-                scope.spawn(move || {
-                    for i in 0..10_000u64 {
-                        m.add_shared(0, ((i + t) % 8) as usize, 1);
-                    }
-                });
+            for row in 0..4 {
+                let (shared, items) = (&shared, &items);
+                scope.spawn(move || shared.apply_rows_owned(row..row + 1, items, derive_block));
             }
         });
-        let total: i64 = m.snapshot().iter().sum();
-        assert_eq!(total, 40_000);
-    }
-
-    #[test]
-    fn shared_float_adds_from_many_threads_are_exact_on_integers() {
-        // Integer-valued f64 deltas: addition is exact, hence
-        // order-independent — the concurrent sum is bit-for-bit right.
-        let m = CounterMatrix::<f64, Atomic>::new(4, 1);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let m = &m;
-                scope.spawn(move || {
-                    for i in 0..5_000u64 {
-                        m.add_shared(0, (i % 4) as usize, 3.0);
-                    }
-                });
-            }
-        });
-        for col in 0..4 {
-            assert_eq!(m.get(0, col), 4.0 * 1_250.0 * 3.0);
-        }
+        assert_eq!(bits(&shared.snapshot()), bits(&sequential.snapshot()));
     }
 
     #[test]
@@ -2154,8 +1998,8 @@ mod tests {
         }
         assert_eq!(d.snapshot(), vec![10, 1, 0, 0]);
         assert_eq!(d, a);
-        // Shared u16 adds go through the CAS path and wrap at 16 bits.
-        a.add_shared(0, 0, u16::MAX);
+        // Owner writes wrap at 16 bits, not at the 64-bit cell word.
+        a.store.add_owned(0, u16::MAX);
         assert_eq!(a.get(0, 0), 10u16.wrapping_add(u16::MAX));
     }
 
@@ -2169,81 +2013,102 @@ mod tests {
         }
         assert_eq!(d.snapshot(), vec![10, 1, 0, 0]);
         assert_eq!(d, a);
-        // Shared u32 adds go through the CAS path and wrap at 32 bits.
-        a.add_shared(0, 0, u32::MAX);
+        // Owner writes wrap at 32 bits, not at the 64-bit cell word.
+        a.store.add_owned(0, u32::MAX);
         assert_eq!(a.get(0, 0), 10u32.wrapping_add(u32::MAX));
     }
 
     #[test]
-    fn apply_rows_matches_per_item_adds() {
-        // A synthetic derivation (item-dependent columns, row-dependent
-        // increments) over enough items to cross several blocks; the
-        // kernel must land bit-for-bit where the per-item loop does.
-        fn derive(x: u64, delta: f64, cols: &mut [usize], vals: &mut [f64]) {
-            for row in 0..cols.len() {
-                cols[row] = ((x.wrapping_mul(row as u64 * 2 + 1)) % 16) as usize;
-                vals[row] = delta * (row as f64 + 1.0);
-            }
-        }
-        let items: Vec<(u64, f64)> = (0..1000u64).map(|x| (x * 7 + 3, 0.5 + x as f64)).collect();
-
-        let mut kernel = CounterMatrix::<f64>::new(16, 3);
-        kernel.apply_rows(&items, derive);
-
+    fn apply_rows_blocked_matches_per_item_adds() {
+        // Item-dependent columns, row-dependent fractional increments,
+        // over enough items to cross several blocks: every kernel path
+        // must land bit-for-bit where the per-item loop does.
+        let items: Vec<(u64, f64)> = (0..1000u64)
+            .map(|x| (x * 7 + 3, 0.5 + x as f64 / 7.0))
+            .collect();
         let mut reference = CounterMatrix::<f64>::new(16, 3);
         let (mut cols, mut vals) = ([0usize; 3], [0f64; 3]);
         for &(x, delta) in &items {
-            derive(x, delta, &mut cols, &mut vals);
+            derive_item(x, delta, &mut cols, &mut vals);
             for row in 0..3 {
                 reference.add(row, cols[row], vals[row]);
             }
         }
-        assert_eq!(kernel.snapshot(), reference.snapshot());
+        let expect = bits(&reference.snapshot());
 
-        // Same through the Atomic backend's exclusive-access path.
-        let mut atomic = CounterMatrix::<f64, Atomic>::new(16, 3);
-        atomic.apply_rows(&items, derive);
-        assert_eq!(atomic, reference);
+        let mut dense = CounterMatrix::<f64>::new(16, 3);
+        dense.apply_rows_blocked(&items, derive_block);
+        assert_eq!(bits(&dense.snapshot()), expect);
+
+        let mut exclusive = CounterMatrix::<f64, Atomic>::new(16, 3);
+        exclusive.apply_rows_blocked(&items, derive_block);
+        assert_eq!(bits(&exclusive.snapshot()), expect);
+
+        let owned = CounterMatrix::<f64, Atomic>::new(16, 3);
+        owned.apply_rows_owned(0..2, &items, derive_block);
+        owned.apply_rows_owned(2..3, &items, derive_block);
+        assert_eq!(bits(&owned.snapshot()), expect);
     }
 
     #[test]
     fn apply_rows_prefetch_path_is_exact() {
-        // A grid past the prefetch threshold (width 64Ki × depth 4 × 8B
-        // = 2 MiB+) exercises the speculative-read sweep.
+        // A grid past the prefetch threshold (width 64Ki × depth 5 × 8B
+        // = 2.5 MiB) exercises the speculative-read sweep.
+        const DEPTH: usize = 5;
         let width = 1 << 16;
-        let mut kernel = CounterMatrix::<u64>::new(width, 4);
-        let mut reference = CounterMatrix::<u64>::new(width, 4);
-        let items: Vec<(u64, u64)> = (0..600u64).map(|x| (x, 1 + x % 5)).collect();
-        let derive = |x: u64, delta: u64, cols: &mut [usize], vals: &mut [u64]| {
-            for row in 0..cols.len() {
-                cols[row] =
-                    (x.wrapping_mul(0x9E37_79B9_7F4A_7C15 + row as u64) >> 48) as usize % width;
-                vals[row] = delta;
-            }
+        assert!(width * DEPTH * 8 > APPLY_PREFETCH_MIN_BYTES);
+        let col = move |x: u64, row: usize| {
+            (x.wrapping_mul(0x9E37_79B9_7F4A_7C15 + row as u64) >> 48) as usize % width
         };
-        kernel.apply_rows(&items, derive);
-        let (mut cols, mut vals) = ([0usize; 4], [0u64; 4]);
+        let items: Vec<(u64, u64)> = (0..600u64).map(|x| (x, 1 + x % 5)).collect();
+        let derive =
+            |block: &[(u64, u64)], rows: Range<usize>, cols: &mut [usize], vals: &mut [u64]| {
+                let n = block.len();
+                for (lane, row) in rows.enumerate() {
+                    for (i, &(x, delta)) in block.iter().enumerate() {
+                        cols[lane * n + i] = col(x, row);
+                        vals[lane * n + i] = delta;
+                    }
+                }
+            };
+        let mut kernel = CounterMatrix::<u64>::new(width, DEPTH);
+        kernel.apply_rows_blocked(&items, derive);
+        let owned = CounterMatrix::<u64, Atomic>::new(width, DEPTH);
+        owned.apply_rows_owned(0..DEPTH, &items, derive);
+        let mut reference = CounterMatrix::<u64>::new(width, DEPTH);
         for &(x, delta) in &items {
-            derive(x, delta, &mut cols, &mut vals);
-            for row in 0..4 {
-                reference.add(row, cols[row], vals[row]);
+            for row in 0..DEPTH {
+                reference.add(row, col(x, row), delta);
             }
         }
         assert_eq!(kernel.snapshot(), reference.snapshot());
+        assert_eq!(owned, reference);
     }
 
     #[test]
     fn apply_rows_empty_inputs_are_noops() {
         let mut m = CounterMatrix::<f64>::new(8, 2);
-        m.apply_rows(&[], |_, _: f64, _, _| panic!("no items, no calls"));
+        m.apply_rows_blocked(&[], |_: &[(u64, f64)], _, _, _| {
+            panic!("no items, no calls")
+        });
         assert!(m.snapshot().iter().all(|&v| v == 0.0));
+        let a = CounterMatrix::<f64, Atomic>::new(8, 2);
+        a.apply_rows_owned(1..1, &[(3, 1.0)], |_, _, _, _| panic!("no rows, no calls"));
+        assert!(a.snapshot().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the matrix depth")]
+    fn apply_rows_owned_rejects_rows_past_depth() {
+        let a = CounterMatrix::<f64, Atomic>::new(8, 2);
+        a.apply_rows_owned(1..3, &[(3, 1.0)], derive_block);
     }
 
     #[test]
     fn i64_wrapping_matches_between_paths() {
         let mut m = CounterMatrix::<i64, Atomic>::new(1, 1);
         m.add(0, 0, i64::MAX);
-        m.add_shared(0, 0, 1); // fetch_add wraps in two's complement
+        m.store.add_owned(0, 1); // wraps in two's complement
         assert_eq!(m.get(0, 0), i64::MIN);
     }
 
@@ -2317,12 +2182,17 @@ mod tests {
 
     /// A synthetic block derivation matching `derive_item` below, in
     /// the row-major layout `apply_rows_blocked` expects.
-    fn derive_block(block: &[(u64, f64)], cols: &mut [usize], vals: &mut [f64]) {
+    fn derive_block(
+        block: &[(u64, f64)],
+        rows: Range<usize>,
+        cols: &mut [usize],
+        vals: &mut [f64],
+    ) {
         let n = block.len();
-        for (i, &(x, delta)) in block.iter().enumerate() {
-            for row in 0..cols.len() / n {
-                cols[row * n + i] = ((x.wrapping_mul(row as u64 * 2 + 1)) % 16) as usize;
-                vals[row * n + i] = delta * (row as f64 + 1.0);
+        for (lane, row) in rows.enumerate() {
+            for (i, &(x, delta)) in block.iter().enumerate() {
+                cols[lane * n + i] = ((x.wrapping_mul(row as u64 * 2 + 1)) % 16) as usize;
+                vals[lane * n + i] = delta * (row as f64 + 1.0);
             }
         }
     }
@@ -2334,74 +2204,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn apply_rows_blocked_matches_apply_rows() {
-        let items: Vec<(u64, f64)> = (0..1000u64).map(|x| (x * 7 + 3, 1.0 + x as f64)).collect();
-        let mut blocked = CounterMatrix::<f64>::new(16, 3);
-        blocked.apply_rows_blocked(&items, derive_block);
-        let mut per_item = CounterMatrix::<f64>::new(16, 3);
-        per_item.apply_rows(&items, derive_item);
-        let (a, b) = (blocked.snapshot(), per_item.snapshot());
-        assert_eq!(
-            a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn apply_rows_shared_coalesces_to_sequential_result() {
-        // Integer deltas over few buckets: heavy duplicate-cell
-        // coalescing, compared bit-for-bit against sequential ingest,
-        // across several blocks including a partial tail.
-        let items: Vec<(u64, f64)> = (0..777u64)
-            .map(|x| (x * 13 + 1, (1 + x % 9) as f64))
-            .collect();
-        let shared = CounterMatrix::<f64, Atomic>::new(16, 3);
-        shared.apply_rows_shared(&items, derive_block);
-        let mut sequential = CounterMatrix::<f64>::new(16, 3);
-        let (mut cols, mut vals) = ([0usize; 3], [0f64; 3]);
-        for &(x, delta) in &items {
-            derive_item(x, delta, &mut cols, &mut vals);
-            for row in 0..3 {
-                sequential.add(row, cols[row], vals[row]);
-            }
-        }
-        assert_eq!(
-            shared
-                .snapshot()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            sequential
-                .snapshot()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn apply_rows_shared_is_safe_under_concurrency() {
-        let m = CounterMatrix::<i64, Atomic>::new(8, 2);
-        let items: Vec<(u64, i64)> = (0..512u64).map(|x| (x, 1)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let (m, items) = (&m, &items);
-                scope.spawn(move || {
-                    m.apply_rows_shared(items, |block, cols, vals| {
-                        let n = block.len();
-                        for (i, &(x, delta)) in block.iter().enumerate() {
-                            for row in 0..2 {
-                                cols[row * n + i] = ((x + row as u64) % 8) as usize;
-                                vals[row * n + i] = delta;
-                            }
-                        }
-                    });
-                });
-            }
-        });
-        let total: i64 = m.snapshot().iter().sum();
-        assert_eq!(total, 4 * 512 * 2);
+    fn bits(cells: &[f64]) -> Vec<u64> {
+        cells.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -2475,15 +2279,19 @@ mod tests {
     }
 
     #[test]
-    fn cell_grid_shared_and_snapshot_paths() {
+    fn cell_grid_owned_and_snapshot_paths() {
         let g: CellGrid<Atomic> = CellGrid::new(4, 2, CellWidth::U32);
-        g.add_shared_f64(0, 1, 41.0);
-        g.add_shared_f64(0, 1, 1.0);
+        g.apply_rows_owned_f64(0..1, &[(0, 41.0), (0, 1.0)], |block, _, cols, vals| {
+            for i in 0..block.len() {
+                cols[i] = 1;
+                vals[i] = block[i].1;
+            }
+        });
         assert_eq!(g.get_f64(0, 1), 42.0);
 
         let mut plane = CounterMatrix::<f64, Dense>::new(4, 2);
         plane.add(1, 2, -6.0);
-        g.add_plane_shared(&plane);
+        g.absorb_plane(&plane);
         assert_eq!(g.get_f64(1, 2), -6.0);
 
         let mut dst = CounterMatrix::<f64, Dense>::new(4, 2);
@@ -2507,7 +2315,8 @@ mod tests {
             let mut blocked: CellGrid = CellGrid::new(16, 3, cell);
             blocked.apply_rows_blocked_f64(&items, derive_block);
             let shared: CellGrid<Atomic> = CellGrid::new(16, 3, cell);
-            shared.apply_rows_shared_f64(&items, derive_block);
+            shared.apply_rows_owned_f64(0..1, &items, derive_block);
+            shared.apply_rows_owned_f64(1..3, &items, derive_block);
 
             let mut per_item: CellGrid = CellGrid::new(16, 3, cell);
             let (mut cols, mut vals) = ([0usize; 3], [0f64; 3]);

@@ -2,6 +2,7 @@
 
 use crate::storage::{CellWidth, EpochCounter};
 use bas_hash::HashKind;
+use std::ops::Range;
 
 /// Configuration shared by every sketch in the workspace.
 ///
@@ -303,55 +304,72 @@ pub trait PointQuerySketch {
     }
 }
 
-/// A sketch whose counters can be fed through a **shared reference**,
-/// lock-free — the ingest contract behind
-/// `bas_pipeline::ConcurrentIngest`, where N threads feed *one*
-/// sketch (1× memory) instead of N same-seed shards (N× memory).
+/// A sketch whose counters can be written through a **shared
+/// reference** — the ingest contract behind
+/// `bas_pipeline::ConcurrentIngest` and the serving engines, where a
+/// writer feeds the sketch while readers pin snapshots of it.
 ///
-/// Implemented by the linear, matrix-backed sketches when their
-/// [`CounterBackend`](crate::storage::CounterBackend) supports shared
-/// accumulation (today: the [`Atomic`](crate::storage::Atomic)
-/// backend). Sketches whose updates are state-dependent (CM-CU,
-/// CML-CU, the bias-maintaining S/R types) cannot implement this —
-/// their read-modify-write cycles are exactly what lock-freedom per
-/// counter cannot express, the same structural property that already
-/// excludes them from merging.
+/// # One writer per row
+/// This is the one concurrency rule of the shared path: **at most one
+/// writer per row at a time, and readers use the seqlock.**
+///
+/// * A call to [`update_rows_shared`](SharedSketch::update_rows_shared)
+///   owns the rows it is given for its duration. Cells are written by
+///   [`AtomicStore::add_owned`](crate::storage::AtomicStore::add_owned)
+///   — a relaxed load, the add, a relaxed store, no read-modify-write.
+///   Two concurrent writers on one row would lose updates (never tear
+///   a value, never undefined behaviour), so drivers hand out disjoint
+///   row ranges: `ConcurrentIngest` splits the rows across its workers
+///   inside one write section of the sketch's
+///   [`write_epoch`](SharedSketch::write_epoch).
+/// * Readers never block the writer. Every cell is one `AtomicU64`, so
+///   a racing read sees a cell's old or new value, never a torn one; a
+///   reader that needs a consistent plane copies it under the seqlock
+///   (`bas_pipeline::EpochSketch::pin`), which retries across open
+///   write sections and yields a flush-boundary prefix of the stream.
 ///
 /// # Exactness
-/// Shared updates land in nondeterministic order. For integer-valued
-/// deltas `f64` addition is exact and therefore order-independent:
-/// the concurrent result is bit-for-bit equal to any sequential
-/// ingest. For general reals, each counter may differ in the last ulp
-/// (same caveat as shard merging).
+/// Each cell has a single writer applying its increments in item
+/// order, so shared ingest is **bit-for-bit** the exclusive
+/// [`update_batch`](PointQuerySketch::update_batch) for any `f64`
+/// deltas, however the rows are split.
 ///
-/// # Consistency
-/// Individual counter updates are atomic, but a query concurrent with
-/// ingest may observe some rows of an in-flight update and not others.
-/// Quiesce writers (as `ConcurrentIngest` does around `flush`) before
-/// querying for exact results.
+/// Implemented by the linear grid sketches over the
+/// [`Atomic`](crate::storage::Atomic) backend. Sketches whose updates
+/// are state-dependent across rows (CM-CU, CML-CU, the
+/// bias-maintaining S/R types) cannot be split by rows, the same
+/// structural property that already excludes them from merging.
 pub trait SharedSketch: PointQuerySketch + Sync {
-    /// Applies `x_item ← x_item + delta` through a shared reference.
-    fn update_shared(&self, item: u64, delta: f64);
+    /// The number of rows a driver may hand to distinct writers: the
+    /// sketch's depth.
+    fn shared_rows(&self) -> usize;
 
-    /// Applies a batch of updates through a shared reference,
-    /// equivalent to calling
-    /// [`update_shared`](SharedSketch::update_shared) per item. The
-    /// matrix-backed sketches override it with the same
-    /// dispatch-hoisted pass as
-    /// [`update_batch`](PointQuerySketch::update_batch).
+    /// Applies a batch of updates to the rows in `rows` only, through
+    /// a shared reference. The caller must be the only writer of those
+    /// rows for the duration of the call.
+    ///
+    /// # Panics
+    /// Panics if `rows` reaches past [`shared_rows`](SharedSketch::shared_rows).
+    fn update_rows_shared(&self, rows: Range<usize>, items: &[(u64, f64)]);
+
+    /// Applies a batch of updates to every row through a shared
+    /// reference, as the sketch's only writer.
     fn update_batch_shared(&self, items: &[(u64, f64)]) {
-        for &(item, delta) in items {
-            self.update_shared(item, delta);
-        }
+        self.update_rows_shared(0..self.shared_rows(), items);
+    }
+
+    /// Applies `x_item ← x_item + delta` through a shared reference, as
+    /// the sketch's only writer.
+    fn update_shared(&self, item: u64, delta: f64) {
+        self.update_batch_shared(&[(item, delta)]);
     }
 
     /// The write-epoch counter this sketch publishes to snapshot
     /// readers, if any.
     ///
-    /// Plain shared sketches return `None` — they accept concurrent
-    /// ingest but offer readers no consistency discipline beyond
-    /// per-cell atomicity. Epoch-wrapped sketches
-    /// (`bas_pipeline::EpochSketch`) return their counter, and ingest
+    /// Plain shared sketches return `None` — they offer readers no
+    /// consistency discipline beyond per-cell atomicity. Epoch-wrapped
+    /// sketches (`bas_pipeline::EpochSketch`) return their counter, and ingest
     /// drivers such as `ConcurrentIngest` bracket every flush in a
     /// write section so seqlock snapshot readers can detect (and retry
     /// across) in-flight flushes.

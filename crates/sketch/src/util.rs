@@ -1,36 +1,37 @@
 //! Small helpers shared by the sketches: medians over rows, and the
-//! block-derive closures the grid sketches hand to the blocked/shared
-//! batch kernels.
+//! block-derive closures the grid sketches hand to the blocked batch
+//! kernels.
 //!
 //! (Counter storage lives in [`crate::storage`]; this module keeps the
 //! pure numeric routines and the kernel glue.)
 
 use bas_hash::{AnyBucketHasher, BucketHasher, RowDeriver};
+use std::ops::Range;
 
 /// Builds a block-derive closure for the blocked batch kernels
 /// ([`crate::CellGrid::apply_rows_blocked_f64`] /
-/// [`crate::CellGrid::apply_rows_shared_f64`]) over **one-hash** rows,
+/// [`crate::CellGrid::apply_rows_owned_f64`]) over **one-hash** rows,
 /// broadcasting each item's delta to every row (the unsigned sketches:
 /// Count-Median, plain Count-Min).
 ///
-/// Kernel contract: for a block of `n` items the closure fills
-/// `cols[row·n + i]` / `vals[row·n + i]`, deriving through the
-/// SIMD-dispatched batch helpers of [`RowDeriver`] — one `mix64`
-/// digest per item, one multiply-shift lane sweep per row.
+/// Kernel contract: for a block of `n` items and the row range `rows`
+/// the closure fills `cols[lane·n + i]` / `vals[lane·n + i]` for
+/// `lane = row − rows.start`, deriving through the SIMD-dispatched
+/// batch helpers of [`RowDeriver`] — one `mix64` digest per item, one
+/// multiply-shift lane sweep per row.
 pub(crate) fn onehash_block_derive(
     rd: &RowDeriver,
-    depth: usize,
-) -> impl FnMut(&[(u64, f64)], &mut [usize], &mut [f64]) + '_ {
+) -> impl FnMut(&[(u64, f64)], Range<usize>, &mut [usize], &mut [f64]) + '_ {
     let mut keys: Vec<u64> = Vec::new();
     let mut digests: Vec<u64> = Vec::new();
-    move |block, cols, vals| {
+    move |block, rows, cols, vals| {
         let n = block.len();
         keys.clear();
         keys.extend(block.iter().map(|&(x, _)| x));
         digests.resize(n, 0);
         rd.digests_into(&keys, &mut digests);
-        for row in 0..depth {
-            rd.buckets_of_digests(row, &digests, &mut cols[row * n..(row + 1) * n]);
+        for (lane, row) in rows.enumerate() {
+            rd.buckets_of_digests(row, &digests, &mut cols[lane * n..(lane + 1) * n]);
         }
         for (slot, &(_, delta)) in vals[..n].iter_mut().zip(block) {
             *slot = delta;
@@ -43,17 +44,16 @@ pub(crate) fn onehash_block_derive(
 }
 
 /// One-hash block-derive with **signs**: the Count-Sketch variant of
-/// [`onehash_block_derive`], filling `vals[row·n + i]` with
-/// `σ_row(x_i)·δ_i` through the sign-bit XOR lane
+/// [`onehash_block_derive`], filling each lane with `σ_row(x_i)·δ_i`
+/// through the sign-bit XOR lane
 /// ([`RowDeriver::signed_deltas_of_digests`]).
 pub(crate) fn onehash_signed_block_derive(
     rd: &RowDeriver,
-    depth: usize,
-) -> impl FnMut(&[(u64, f64)], &mut [usize], &mut [f64]) + '_ {
+) -> impl FnMut(&[(u64, f64)], Range<usize>, &mut [usize], &mut [f64]) + '_ {
     let mut keys: Vec<u64> = Vec::new();
     let mut deltas: Vec<f64> = Vec::new();
     let mut digests: Vec<u64> = Vec::new();
-    move |block, cols, vals| {
+    move |block, rows, cols, vals| {
         let n = block.len();
         keys.clear();
         deltas.clear();
@@ -63,26 +63,27 @@ pub(crate) fn onehash_signed_block_derive(
         }
         digests.resize(n, 0);
         rd.digests_into(&keys, &mut digests);
-        for row in 0..depth {
-            rd.buckets_of_digests(row, &digests, &mut cols[row * n..(row + 1) * n]);
-            rd.signed_deltas_of_digests(row, &digests, &deltas, &mut vals[row * n..(row + 1) * n]);
+        for (lane, row) in rows.enumerate() {
+            let at = lane * n..(lane + 1) * n;
+            rd.buckets_of_digests(row, &digests, &mut cols[at.clone()]);
+            rd.signed_deltas_of_digests(row, &digests, &deltas, &mut vals[at]);
         }
     }
 }
 
 /// Block-derive over arbitrary row hashers (the classical families,
 /// which have no shared digest): per-item dynamic dispatch fills the
-/// row-major scratch so even non-one-hash sketches ride the shared
-/// coalescing kernel.
+/// row-major scratch, so these sketches ride the same blocked kernel.
 pub(crate) fn hashed_block_derive(
     hashers: &[AnyBucketHasher],
-) -> impl FnMut(&[(u64, f64)], &mut [usize], &mut [f64]) + '_ {
-    move |block, cols, vals| {
+) -> impl FnMut(&[(u64, f64)], Range<usize>, &mut [usize], &mut [f64]) + '_ {
+    move |block, rows, cols, vals| {
         let n = block.len();
-        for (i, &(x, delta)) in block.iter().enumerate() {
-            for (row, h) in hashers.iter().enumerate() {
-                cols[row * n + i] = h.bucket(x);
-                vals[row * n + i] = delta;
+        for (lane, row) in rows.enumerate() {
+            let h = &hashers[row];
+            for (i, &(x, delta)) in block.iter().enumerate() {
+                cols[lane * n + i] = h.bucket(x);
+                vals[lane * n + i] = delta;
             }
         }
     }

@@ -53,7 +53,7 @@ fn expect_value(resp: Response) -> f64 {
 
 fn main() {
     let params = SketchParams::new(N, 1_024, 5);
-    let mut fabric = Fabric::new(FabricConfig::new(params).with_workers(2));
+    let mut fabric = Fabric::new(FabricConfig::new(params));
     fabric.add_shard(1, 1.0).unwrap();
     fabric.add_shard(2, 1.0).unwrap();
 

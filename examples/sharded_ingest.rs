@@ -11,8 +11,8 @@
 //!    shard sketches merged once by linearity (the paper's distributed
 //!    protocol of §5.5 collapsed onto one machine) — k× counter memory;
 //! 4. **concurrent-shared** — `ConcurrentIngest`, the same worker
-//!    threads feeding **one** `Atomic`-backed sketch through lock-free
-//!    counter adds — 1× counter memory, no merge step.
+//!    threads splitting the rows of **one** `Atomic`-backed sketch, one
+//!    writer per row — 1× counter memory, no merge step.
 //!
 //! All four produce the *same sketch* (bit-for-bit on this
 //! integer-delta stream); only throughput and memory differ.
@@ -138,7 +138,7 @@ fn main() {
     println!("\nall paths agree exactly on {checked} spot-checked estimates");
     println!(
         "(linearity: merged same-seed shard sketches == the single-threaded sketch, paper §5.5;\n \
-         order-independence: lock-free adds into one shared sketch == the same sketch again)"
+         row ownership: one writer per row of one shared sketch == the same sketch again)"
     );
 }
 

@@ -1,8 +1,8 @@
 //! A miniature telemetry server on the live query plane.
 //!
 //! The north-star scenario: per-endpoint request counts stream in hot
-//! (4 ingest workers feeding **one** shared Count-Median through
-//! lock-free counter adds), while reader threads serve queries off the
+//! (4 ingest workers splitting the rows of **one** shared Count-Median,
+//! one writer per row), while reader threads serve queries off the
 //! same sketch the whole time:
 //!
 //! * **live point reads** — lock-free, straight off the atomic cells;

@@ -1,15 +1,13 @@
-//! The concurrency test suite for lock-free shared-sketch ingest.
+//! The concurrency test suite for shared-sketch ingest, under its one
+//! rule: at most one writer per row at a time.
 //!
-//! Pinned claims, per the storage-layer contract:
+//! Pinned claims:
 //!
-//! 1. `Atomic`-backend **sequential** ingest is bit-for-bit equal to
-//!    `Dense` — the backend is unobservable under exclusive access;
-//! 2. N-thread `ConcurrentIngest` into one shared sketch equals
-//!    single-threaded ingest **exactly** for integer-valued deltas
-//!    (`f64` addition is exact there, hence order-independent);
-//! 3. for fractional deltas the shared sketch matches within `1e-9`
-//!    relative tolerance (atomic adds reorder rounding, nothing else);
-//! 4. the shared path composes with `ShardedIngest` and the chunked
+//! 1. N-thread `ConcurrentIngest` splits one shared sketch's rows
+//!    across its workers, so every cell has one writer applying its
+//!    increments in stream order: the result equals single-threaded
+//!    ingest **bit for bit**, for integer and fractional deltas alike;
+//! 2. the shared path composes with `ShardedIngest` and the chunked
 //!    driver without changing results.
 //!
 //! The worker counts default to {2, 8}; CI re-runs the suite under
@@ -123,23 +121,23 @@ fn concurrent_count_min_plain_integer_deltas_bit_for_bit() {
 }
 
 #[test]
-fn concurrent_fractional_deltas_within_relative_tolerance() {
+fn concurrent_fractional_deltas_bit_for_bit() {
+    // Fractional deltas round, so only the order of additions into a
+    // cell decides the result. Each row has one writer applying the
+    // stream in order, hence bit-for-bit at every worker count.
     let updates = fractional_stream(60_000);
     let mut reference = CountSketch::new(&params());
     reference.update_batch(&updates);
-    // Scale for the relative tolerance: total absolute mass per counter
-    // is bounded by the stream's total absolute mass.
-    let scale: f64 = updates.iter().map(|(_, d)| d.abs()).sum::<f64>() + 1.0;
     for workers in worker_counts() {
         let mut ingest = ConcurrentIngest::new(workers, AtomicCountSketch::with_backend(&params()))
             .with_flush_threshold(4_096);
         ingest.extend_from_slice(&updates);
         let shared = ingest.finish();
         for j in 0..N {
-            let (a, b) = (shared.estimate(j), reference.estimate(j));
-            assert!(
-                (a - b).abs() <= 1e-9 * scale,
-                "{workers} workers, item {j}: {a} vs {b}"
+            assert_eq!(
+                shared.estimate(j).to_bits(),
+                reference.estimate(j).to_bits(),
+                "{workers} workers, item {j}"
             );
         }
     }
@@ -152,11 +150,15 @@ fn shared_range_sum_matches_exclusive() {
     for &(i, d) in &updates {
         reference.update(i, d);
     }
+    // Four threads own disjoint row ranges of every dyadic level.
     let shared = RangeSumSketch::<Atomic>::with_backend(&params());
+    let rows = shared.shared_rows();
     std::thread::scope(|scope| {
-        for chunk in updates.chunks(updates.len().div_ceil(4)) {
-            let shared = &shared;
-            scope.spawn(move || shared.update_batch_shared(chunk));
+        for k in 0..4 {
+            let (shared, updates) = (&shared, &updates);
+            scope.spawn(move || {
+                shared.update_rows_shared(k * rows / 4..(k + 1) * rows / 4, updates)
+            });
         }
     });
     for (a, b) in [(0u64, N - 1), (17, 1_200), (500, 501), (N - 64, N - 1)] {
@@ -168,7 +170,7 @@ fn shared_range_sum_matches_exclusive() {
 fn concurrent_matches_sharded_on_integer_deltas() {
     // The two multi-core strategies must agree with each other, not
     // just with the single-threaded reference: linearity (sharded) and
-    // order-independence (shared) describe the same sketch.
+    // row ownership (shared) describe the same sketch.
     let updates = integer_stream(40_000);
     for workers in worker_counts() {
         let mut shared_ingest =
@@ -195,7 +197,7 @@ fn concurrent_matches_sharded_on_integer_deltas() {
 #[test]
 fn chunked_driver_feeds_shared_sketch() {
     // The driver's sink works against the shared path too: a receive
-    // loop can hand chunks into the same sketch the workers feed.
+    // loop, as the sketch's one writer, hands it chunks.
     let updates = integer_stream(10_000);
     let shared = AtomicCountSketch::with_backend(&params());
     let stream = updates.iter().map(|&(i, d)| StreamUpdate::new(i, d));

@@ -153,9 +153,9 @@ fn counter_matrix_atomic_serializes_as_dense_snapshot() {
     // The wire format is backend-independent: an Atomic matrix ships
     // its dense snapshot and can be read back into either backend.
     let atomic = {
-        let m = CounterMatrix::<f64, Atomic>::new(4, 2);
-        m.add_shared(0, 1, 7.5);
-        m.add_shared(1, 3, -2.0);
+        let mut m = CounterMatrix::<f64, Atomic>::new(4, 2);
+        m.add(0, 1, 7.5);
+        m.add(1, 3, -2.0);
         m
     };
     let wire_atomic = serde_json::to_string(&atomic).unwrap();

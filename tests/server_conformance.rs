@@ -17,6 +17,7 @@ use bias_aware_sketches::server::{
     call, serve_connection, Fabric, FabricConfig, Request, Response, ServingMode, TenantSpec,
     WindowLen,
 };
+use proptest::prelude::*;
 
 const N: u64 = 4_096;
 
@@ -25,7 +26,7 @@ fn params() -> SketchParams {
 }
 
 fn config() -> FabricConfig {
-    FabricConfig::new(params()).with_workers(2)
+    FabricConfig::new(params())
 }
 
 /// A deterministic per-tenant stream of integer-valued updates.
@@ -583,6 +584,133 @@ fn rejections_are_typed_responses() {
     match fabric.handle(Request::Export(TenantRef { tenant: 9 })) {
         Response::Error(e) => assert_eq!(e.code, "unsupported"),
         other => panic!("{other:?}"),
+    }
+}
+
+/// Everything a tenant reports, as bits: its stats (applied, mass,
+/// pending, quota bookkeeping, interval), a grid of point and window
+/// point estimates, and its heavy hitters.
+fn observe(fabric: &mut Fabric, tenant: u64) -> Vec<u64> {
+    let mut out = match fabric.handle(Request::Stats(TenantRef { tenant })) {
+        Response::Stats(s) => vec![
+            s.applied,
+            s.mass.to_bits(),
+            s.pending,
+            s.admitted_in_interval,
+            s.interval,
+        ],
+        other => panic!("expected stats, got {other:?}"),
+    };
+    for item in (0..N).step_by(97) {
+        for req in [
+            Request::Point(PointQuery { tenant, item }),
+            Request::WindowPoint(PointQuery { tenant, item }),
+        ] {
+            match fabric.handle(req) {
+                Response::Value(v) => out.push(v.value.to_bits()),
+                Response::Error(e) => assert_eq!(e.code, "unsupported"),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+    let hh = fabric.handle(Request::HeavyHitters(HeavyHittersQuery {
+        tenant,
+        phi: 0.01,
+    }));
+    out.extend(
+        expect_hh(hh)
+            .into_iter()
+            .flat_map(|(item, est)| [item, est.to_bits()]),
+    );
+    out
+}
+
+/// NaN and ±inf deltas are rejected at admission with a typed
+/// `bad_ingest` error, and a rejected frame changes nothing: stats and
+/// every answer, before and after the next flush, match a twin fabric
+/// that never saw it.
+#[test]
+fn non_finite_deltas_are_rejected_and_change_nothing() {
+    let build = || {
+        let mut fabric = Fabric::new(config());
+        fabric.add_shard(0, 1.0).unwrap();
+        let window = ServingMode::Sliding(WindowLen { intervals: 2 });
+        fabric
+            .register_tenant(TenantSpec::frequency(1, 11))
+            .unwrap();
+        fabric
+            .register_tenant(TenantSpec::frequency(2, 22).with_mode(window))
+            .unwrap();
+        // One sealed interval, then a frame left pending in the next.
+        for tenant in [1u64, 2] {
+            for (part, len) in [(0, 400), (5, 300)] {
+                if part > 0 {
+                    fabric.handle(Request::AdvanceInterval(TenantRef { tenant }));
+                }
+                let updates = stream(tenant + part, len);
+                let resp = fabric.handle(Request::Ingest(IngestFrame { tenant, updates }));
+                assert!(matches!(resp, Response::Admitted(_)), "{resp:?}");
+            }
+        }
+        fabric
+    };
+    let (mut poked, mut twin) = (build(), build());
+    for tenant in [1u64, 2] {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut updates = stream(tenant + 9, 50);
+            updates[17].1 = bad;
+            match poked.handle(Request::Ingest(IngestFrame { tenant, updates })) {
+                Response::Error(e) => assert_eq!(e.code, "bad_ingest", "{bad}"),
+                other => panic!("tenant {tenant}, delta {bad}: {other:?}"),
+            }
+        }
+        assert_eq!(observe(&mut poked, tenant), observe(&mut twin, tenant));
+        poked.handle(Request::Flush(TenantRef { tenant }));
+        twin.handle(Request::Flush(TenantRef { tenant }));
+        assert_eq!(observe(&mut poked, tenant), observe(&mut twin, tenant));
+    }
+}
+
+/// An arbitrary `f64`: mostly raw bit patterns (every finite value,
+/// subnormals and NaN payloads included), with NaN and ±inf forced
+/// often enough that most frames carry one.
+fn arbitrary_f64(sel: u64, bits: u64) -> f64 {
+    match sel {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => f64::from_bits(bits),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Over arbitrary `f64` frames, every admitted frame is finite and
+    /// every rejected one is a `bad_ingest` that leaves the tenant
+    /// untouched.
+    #[test]
+    fn arbitrary_f64_frames_admit_only_finite_deltas(
+        raw in prop::collection::vec((0u64..N, 0u64..40, 0u64..u64::MAX), 1..24),
+    ) {
+        let mut fabric = Fabric::new(config());
+        fabric.add_shard(0, 1.0).unwrap();
+        fabric.register_tenant(TenantSpec::frequency(1, 7)).unwrap();
+        let updates: Vec<(u64, f64)> = raw
+            .iter()
+            .map(|&(item, sel, bits)| (item, arbitrary_f64(sel, bits)))
+            .collect();
+        let finite = updates.iter().all(|&(_, d)| d.is_finite());
+        let before = observe(&mut fabric, 1);
+        match fabric.handle(Request::Ingest(IngestFrame { tenant: 1, updates })) {
+            Response::Admitted(_) => prop_assert!(finite),
+            Response::Error(e) => {
+                prop_assert_eq!(e.code.as_str(), "bad_ingest");
+                prop_assert!(!finite);
+                prop_assert_eq!(observe(&mut fabric, 1), before);
+            }
+            other => panic!("{other:?}"),
+        }
     }
 }
 
