@@ -364,25 +364,37 @@ impl IngestBatcher {
     }
 
     /// One frame out of the buffer, with the Busy → flush → resend
-    /// step. The buffer is cleared only on admission.
+    /// step. The buffer moves into the request and comes back after the
+    /// exchange, cleared only on admission.
     fn ship<S: Read + Write, F: FnMut() -> io::Result<S>>(
         &mut self,
         client: &mut Client<S, F>,
     ) -> Result<Response, RetryError> {
         let req = Request::Ingest(IngestFrame {
             tenant: self.tenant,
-            updates: self.buf.clone(),
+            updates: std::mem::take(&mut self.buf),
         });
-        let mut resp = client.call(&req)?;
-        if matches!(resp, Response::Busy(_)) {
-            client.call(&Request::Flush(TenantRef {
-                tenant: self.tenant,
-            }))?;
-            resp = client.call(&req)?;
-        }
-        if matches!(resp, Response::Admitted(_)) {
+        let resp = Self::exchange(client, &req, self.tenant);
+        let Request::Ingest(IngestFrame { updates, .. }) = req else {
+            unreachable!("built as an ingest request above")
+        };
+        self.buf = updates;
+        if matches!(resp, Ok(Response::Admitted(_))) {
             self.buf.clear();
         }
-        Ok(resp)
+        resp
+    }
+
+    fn exchange<S: Read + Write, F: FnMut() -> io::Result<S>>(
+        client: &mut Client<S, F>,
+        req: &Request,
+        tenant: u64,
+    ) -> Result<Response, RetryError> {
+        let resp = client.call(req)?;
+        if !matches!(resp, Response::Busy(_)) {
+            return Ok(resp);
+        }
+        client.call(&Request::Flush(TenantRef { tenant }))?;
+        client.call(req)
     }
 }

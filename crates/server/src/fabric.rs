@@ -581,21 +581,29 @@ impl Fabric {
         }
     }
 
-    /// Admission control, checked in policy order: a non-finite delta
-    /// first (`bad_ingest` — NaN or ±inf would poison its cells for
-    /// good, and JSON cannot carry it through a transfer), then the
-    /// interval quota (Shed — retry next interval), then the queue
-    /// bound (Busy — retry after a flush). A rejected batch admits
-    /// **nothing**.
+    /// Admission control, checked in policy order: an item outside the
+    /// tenant's universe or a non-finite delta first (`bad_ingest` — a
+    /// range-sum flush cannot place such an item, a frequency plane
+    /// would count it against colliding in-universe items, and NaN or
+    /// ±inf would poison its cells for good, which JSON cannot even
+    /// carry through a transfer), then the interval quota (Shed —
+    /// retry next interval), then the queue bound (Busy — retry after
+    /// a flush). A rejected batch admits **nothing**.
     fn ingest(&mut self, frame: IngestFrame) -> Response {
         let tenant = frame.tenant;
         let k = frame.updates.len() as u64;
         self.with_tenant_mut(tenant, |t| {
-            if let Some(&(item, delta)) = frame.updates.iter().find(|(_, d)| !d.is_finite()) {
-                return Response::Error(ErrorReply::new(
-                    "bad_ingest",
-                    format!("tenant {tenant}: item {item} has non-finite delta {delta}"),
-                ));
+            let universe = t.slot.universe();
+            if let Some(&(item, delta)) = frame
+                .updates
+                .iter()
+                .find(|&&(item, d)| item >= universe || !d.is_finite())
+            {
+                let detail = match check_item(tenant, item, universe) {
+                    Err(e) => e.detail,
+                    Ok(()) => format!("tenant {tenant}: item {item} has non-finite delta {delta}"),
+                };
+                return Response::Error(ErrorReply::new("bad_ingest", detail));
             }
             if t.admitted_in_interval.saturating_add(k) > t.spec.interval_quota {
                 return Response::Shed(ShedReceipt {

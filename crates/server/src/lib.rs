@@ -11,8 +11,9 @@
 //!   pure function of `(tenant, ring)`: every node computes the same
 //!   answer, load is proportional to shard weight, and membership
 //!   changes move only the tenants they must.
-//! * **Wire protocol** ([`wire`]) — `u32` length-prefixed frames over
-//!   the workspace's existing serde wire format. One [`Request`] in,
+//! * **Wire protocol** ([`wire`]) — `u32` length-prefixed frames: the
+//!   workspace's existing serde wire format, except ingest frames,
+//!   which carry a fixed binary layout. One [`Request`] in,
 //!   one [`Response`] out; oversized and corrupt frames are drained
 //!   and answered with typed errors, so a hostile client can neither
 //!   desync nor crash the connection loop ([`connection`]).
@@ -57,6 +58,6 @@ pub use listener::{
 pub use persist::{recover, Journal, JournalRecord, ShardRecord};
 pub use placement::{jump_hash, PlacementRing, ShardWeight};
 pub use wire::{
-    read_frame, write_frame, ErrorReply, IngestFrame, MetricKind, Request, Response, ServingMode,
-    TenantRef, TenantSpec, TenantTransfer, WindowLen, WireError, MAX_FRAME_BYTES,
+    read_frame, write_frame, ErrorReply, Frame, IngestFrame, MetricKind, Request, Response,
+    ServingMode, TenantRef, TenantSpec, TenantTransfer, WindowLen, WireError, MAX_FRAME_BYTES,
 };

@@ -1,11 +1,33 @@
 //! The length-prefixed wire protocol.
 //!
-//! Frames are `u32` big-endian length + a JSON body in the workspace's
-//! existing serde wire format (the same format the distributed
-//! protocol and `tests/serde_roundtrip.rs` already pin down: finite
-//! `f64`s print shortest-round-trip, so counter planes ship
-//! **bit-for-bit**). One [`Request`] frame in, one [`Response`] frame
-//! out, strictly alternating per connection.
+//! Frames are a `u32` big-endian body length followed by the body. One
+//! [`Request`] frame in, one [`Response`] frame out, strictly
+//! alternating per connection. Two body codecs share the framing:
+//!
+//! * **JSON** — every frame except ingest: control and query frames,
+//!   every [`Response`], and the [`TenantTransfer`] planes a rebalance
+//!   ships. The body is the workspace's existing serde wire format
+//!   (the same format the distributed protocol and
+//!   `tests/serde_roundtrip.rs` already pin down: finite `f64`s print
+//!   shortest-round-trip, so counter planes ship **bit-for-bit**).
+//! * **Binary ingest** — [`Request::Ingest`], the one frame whose size
+//!   scales with the stream, always encodes as a fixed little-endian
+//!   layout:
+//!
+//!   | offset        | bytes | field                              |
+//!   |---------------|-------|------------------------------------|
+//!   | 0             | 1     | tag [`INGEST_TAG`] (`0x01`)        |
+//!   | 1             | 8     | `tenant: u64` LE                   |
+//!   | 9 + 16·i      | 8     | update `i`: `item: u64` LE         |
+//!   | 17 + 16·i     | 8     | update `i`: `delta.to_bits()` LE   |
+//!
+//!   so a body of `len` bytes carries `n = (len − 9) / 16` updates, and
+//!   any other length is [`WireError::Malformed`]. No JSON text starts
+//!   with `0x01`, so the first body byte picks the codec; the JSON form
+//!   of `Ingest` the serde derive produces still decodes. Deltas travel
+//!   as raw bits: NaN payloads, `±0`, `±inf` and subnormals arrive
+//!   exactly as sent, and admission (not the codec) rejects the
+//!   non-finite ones.
 //!
 //! The framing layer owns desync-avoidance **and** resource bounds
 //! against hostile peers:
@@ -25,9 +47,10 @@
 //!   one chunk beyond what it has already sent (behavior change vs the
 //!   original protocol, which allocated the full declared length up
 //!   front);
-//! * a body that is not valid UTF-8/JSON for the expected type is
-//!   fully consumed before [`WireError::Malformed`] is reported —
-//!   the stream stays in sync;
+//! * a body that does not decode as the expected frame type (bad
+//!   UTF-8/JSON, or a binary ingest body of the wrong length) is fully
+//!   consumed before [`WireError::Malformed`] is reported — the stream
+//!   stays in sync;
 //! * [`WireError::Truncated`] / [`WireError::Io`] are fatal: the
 //!   stream position is unknown, so the connection must drop.
 
@@ -79,8 +102,9 @@ pub enum WireError {
         /// The drain budget that was exceeded.
         budget: usize,
     },
-    /// The body was not valid UTF-8/JSON for the expected frame type.
-    /// The body was fully consumed, so the connection is still in sync.
+    /// The body did not decode as the expected frame type (bad
+    /// UTF-8/JSON, or a binary ingest body of the wrong length). The
+    /// body was fully consumed, so the connection is still in sync.
     Malformed {
         /// Decoder diagnostic.
         detail: String,
@@ -129,24 +153,131 @@ impl WireError {
     }
 }
 
-/// Writes one frame: `u32` big-endian body length, then the JSON body.
-/// Returns the total bytes written (4 + body).
+/// A message that travels as one frame body. Sealed: implemented for
+/// [`Request`], [`Response`] and [`TenantTransfer`]. The body is JSON
+/// by default; [`Request`] overrides it for the binary ingest layout
+/// described in the [module docs](self).
+pub trait Frame: sealed::Sealed + serde::Serialize + for<'de> serde::Deserialize<'de> {
+    /// Appends the encoded body to `out`.
+    ///
+    /// # Errors
+    /// [`WireError::Malformed`] if the value fails to encode.
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        encode_json(self, out)
+    }
+
+    /// Decodes a complete body.
+    ///
+    /// # Errors
+    /// [`WireError::Malformed`] if `body` is not a valid encoding.
+    fn decode_body(body: &[u8]) -> Result<Self, WireError> {
+        decode_json(body)
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Request {}
+    impl Sealed for super::Response {}
+    impl Sealed for super::TenantTransfer {}
+}
+
+fn malformed(detail: impl ToString) -> WireError {
+    WireError::Malformed {
+        detail: detail.to_string(),
+    }
+}
+
+fn encode_json<T: serde::Serialize>(msg: &T, out: &mut Vec<u8>) -> Result<(), WireError> {
+    out.extend_from_slice(serde_json::to_string(msg).map_err(malformed)?.as_bytes());
+    Ok(())
+}
+
+fn decode_json<T: for<'de> serde::Deserialize<'de>>(body: &[u8]) -> Result<T, WireError> {
+    let text = std::str::from_utf8(body).map_err(|e| malformed(format!("non-UTF-8 body: {e}")))?;
+    serde_json::from_str(text).map_err(malformed)
+}
+
+impl Frame for Response {}
+
+impl Frame for TenantTransfer {}
+
+impl Frame for Request {
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        match self {
+            Request::Ingest(frame) => {
+                encode_ingest(frame, out);
+                Ok(())
+            }
+            other => encode_json(other, out),
+        }
+    }
+
+    fn decode_body(body: &[u8]) -> Result<Self, WireError> {
+        match body.first() {
+            Some(&INGEST_TAG) => decode_ingest(body).map(Request::Ingest),
+            _ => decode_json(body),
+        }
+    }
+}
+
+/// First body byte of a binary [`Request::Ingest`] frame (see the
+/// [module docs](self)); no JSON text starts with it.
+pub const INGEST_TAG: u8 = 0x01;
+
+/// Bytes of a binary ingest body before the first update: tag + tenant.
+const INGEST_HEADER_BYTES: usize = 9;
+
+/// Bytes per `(item, delta)` update in a binary ingest body.
+const INGEST_UPDATE_BYTES: usize = 16;
+
+fn encode_ingest(frame: &IngestFrame, out: &mut Vec<u8>) {
+    out.reserve(INGEST_HEADER_BYTES + INGEST_UPDATE_BYTES * frame.updates.len());
+    out.push(INGEST_TAG);
+    out.extend_from_slice(&frame.tenant.to_le_bytes());
+    for &(item, delta) in &frame.updates {
+        out.extend_from_slice(&item.to_le_bytes());
+        out.extend_from_slice(&delta.to_bits().to_le_bytes());
+    }
+}
+
+fn decode_ingest(body: &[u8]) -> Result<IngestFrame, WireError> {
+    let len = body.len();
+    if len < INGEST_HEADER_BYTES || (len - INGEST_HEADER_BYTES) % INGEST_UPDATE_BYTES != 0 {
+        return Err(malformed(format!(
+            "binary ingest body of {len} bytes is not {INGEST_HEADER_BYTES} + \
+             {INGEST_UPDATE_BYTES}·n"
+        )));
+    }
+    let (head, updates) = body.split_at(INGEST_HEADER_BYTES);
+    let le = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte field"));
+    Ok(IngestFrame {
+        tenant: le(&head[1..]),
+        updates: updates
+            .chunks_exact(INGEST_UPDATE_BYTES)
+            .map(|u| (le(&u[..8]), f64::from_bits(le(&u[8..]))))
+            .collect(),
+    })
+}
+
+/// Writes one frame — `u32` big-endian body length, then the body — in
+/// a single `write_all`. Returns the total bytes written (4 + body).
 ///
 /// # Errors
 /// [`WireError::Malformed`] if the value fails to encode,
-/// [`WireError::Io`] on write failure.
-pub fn write_frame<W: Write, T: serde::Serialize>(w: &mut W, msg: &T) -> Result<usize, WireError> {
-    let body = serde_json::to_string(msg).map_err(|e| WireError::Malformed {
-        detail: e.to_string(),
-    })?;
-    let bytes = body.as_bytes();
-    let len = u32::try_from(bytes.len()).map_err(|_| WireError::FrameTooLarge {
-        len: bytes.len(),
+/// [`WireError::FrameTooLarge`] if the body overflows the `u32`
+/// prefix, [`WireError::Io`] on write failure.
+pub fn write_frame<W: Write, T: Frame>(w: &mut W, msg: &T) -> Result<usize, WireError> {
+    let mut frame = vec![0u8; 4];
+    msg.encode_body(&mut frame)?;
+    let body = frame.len() - 4;
+    let len = u32::try_from(body).map_err(|_| WireError::FrameTooLarge {
+        len: body,
         max: u32::MAX as usize,
     })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
-    Ok(4 + bytes.len())
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
+    Ok(frame.len())
 }
 
 /// Reads one frame. `Ok(None)` is a clean end-of-stream (EOF exactly
@@ -155,10 +286,7 @@ pub fn write_frame<W: Write, T: serde::Serialize>(w: &mut W, msg: &T) -> Result<
 /// # Errors
 /// See [`WireError`]; [`FrameTooLarge`](WireError::FrameTooLarge) and
 /// [`Malformed`](WireError::Malformed) leave the stream in sync.
-pub fn read_frame<R: Read, T: for<'de> serde::Deserialize<'de>>(
-    r: &mut R,
-    max_len: usize,
-) -> Result<Option<T>, WireError> {
+pub fn read_frame<R: Read, T: Frame>(r: &mut R, max_len: usize) -> Result<Option<T>, WireError> {
     let mut header = [0u8; 4];
     match read_exact_or_eof(r, &mut header)? {
         0 => return Ok(None),
@@ -174,15 +302,7 @@ pub fn read_frame<R: Read, T: for<'de> serde::Deserialize<'de>>(
         drain(r, len)?;
         return Err(WireError::FrameTooLarge { len, max: max_len });
     }
-    let body = read_body(r, len)?;
-    let text = std::str::from_utf8(&body).map_err(|e| WireError::Malformed {
-        detail: format!("non-UTF-8 body: {e}"),
-    })?;
-    serde_json::from_str(text)
-        .map(Some)
-        .map_err(|e| WireError::Malformed {
-            detail: e.to_string(),
-        })
+    T::decode_body(&read_body(r, len)?).map(Some)
 }
 
 /// Reads a `len`-byte body incrementally: the buffer grows in
@@ -631,10 +751,7 @@ impl ErrorReply {
 mod tests {
     use super::*;
 
-    fn roundtrip<T>(value: &T) -> T
-    where
-        T: serde::Serialize + for<'de> serde::Deserialize<'de>,
-    {
+    fn roundtrip<T: Frame>(value: &T) -> T {
         let mut buf = Vec::new();
         write_frame(&mut buf, value).unwrap();
         let mut cursor = &buf[..];
@@ -665,6 +782,77 @@ mod tests {
         ];
         for req in &reqs {
             assert_eq!(&roundtrip(req), req);
+        }
+    }
+
+    #[test]
+    fn ingest_frames_use_the_binary_layout() {
+        let req = Request::Ingest(IngestFrame {
+            tenant: 0x0102_0304_0506_0708,
+            updates: vec![(5, -0.0), (u64::MAX, f64::INFINITY)],
+        });
+        let mut buf = Vec::new();
+        assert_eq!(write_frame(&mut buf, &req).unwrap(), 4 + 9 + 2 * 16);
+        let mut want = 41u32.to_be_bytes().to_vec();
+        want.push(INGEST_TAG);
+        want.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
+        want.extend_from_slice(&5u64.to_le_bytes());
+        want.extend_from_slice(&(-0.0f64).to_bits().to_le_bytes());
+        want.extend_from_slice(&u64::MAX.to_le_bytes());
+        want.extend_from_slice(&f64::INFINITY.to_bits().to_le_bytes());
+        assert_eq!(buf, want);
+        let back: Request = read_frame(&mut &buf[..], MAX_FRAME_BYTES).unwrap().unwrap();
+        assert_eq!(back, req);
+        // An empty batch is the 9-byte header alone.
+        buf.clear();
+        let empty = Request::Ingest(IngestFrame {
+            tenant: 1,
+            updates: Vec::new(),
+        });
+        assert_eq!(write_frame(&mut buf, &empty).unwrap(), 4 + 9);
+        assert_eq!(roundtrip(&empty), empty);
+    }
+
+    #[test]
+    fn json_ingest_bodies_still_decode() {
+        let frame = IngestFrame {
+            tenant: 3,
+            updates: vec![(1, 2.0), (7, -1.5)],
+        };
+        let body = serde_json::to_string(&Request::Ingest(frame.clone())).unwrap();
+        let mut buf = (body.len() as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(body.as_bytes());
+        let back: Request = read_frame(&mut &buf[..], MAX_FRAME_BYTES).unwrap().unwrap();
+        assert_eq!(back, Request::Ingest(frame));
+    }
+
+    /// Records the size of every `write` call it receives.
+    struct Writes(Vec<usize>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn header_and_body_go_out_in_one_write() {
+        let frames = [
+            Request::Ingest(IngestFrame {
+                tenant: 1,
+                updates: vec![(3, 0.5); 100],
+            }),
+            Request::Flush(TenantRef { tenant: 1 }),
+        ];
+        for req in &frames {
+            let mut w = Writes(Vec::new());
+            let total = write_frame(&mut w, req).unwrap();
+            assert_eq!(w.0, vec![total], "{req:?}");
         }
     }
 
@@ -820,17 +1008,26 @@ mod tests {
 
     #[test]
     fn corrupt_bodies_are_recoverable_malformed_errors() {
-        let body = b"not json";
-        let mut buf = (body.len() as u32).to_be_bytes().to_vec();
-        buf.extend_from_slice(body);
-        write_frame(&mut buf, &Request::Ping).unwrap();
-        let mut cursor = &buf[..];
-        let err = read_frame::<_, Request>(&mut cursor, 1024).unwrap_err();
-        assert!(matches!(err, WireError::Malformed { .. }));
-        assert!(err.is_recoverable());
-        let next = read_frame::<_, Request>(&mut cursor, 1024)
-            .unwrap()
-            .unwrap();
-        assert_eq!(next, Request::Ping);
+        // Not JSON; a lone ingest tag; binary ingest bodies one byte
+        // short of and one byte past a whole update.
+        let mut bodies = vec![b"not json".to_vec(), vec![INGEST_TAG]];
+        for len in [9 + 15, 9 + 17] {
+            let mut body = vec![0u8; len];
+            body[0] = INGEST_TAG;
+            bodies.push(body);
+        }
+        for body in &bodies {
+            let mut buf = (body.len() as u32).to_be_bytes().to_vec();
+            buf.extend_from_slice(body);
+            write_frame(&mut buf, &Request::Ping).unwrap();
+            let mut cursor = &buf[..];
+            let err = read_frame::<_, Request>(&mut cursor, 1024).unwrap_err();
+            assert!(matches!(err, WireError::Malformed { .. }), "{body:?}");
+            assert!(err.is_recoverable());
+            let next = read_frame::<_, Request>(&mut cursor, 1024)
+                .unwrap()
+                .unwrap();
+            assert_eq!(next, Request::Ping);
+        }
     }
 }

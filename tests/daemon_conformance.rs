@@ -9,7 +9,7 @@
 //! under `--release` like the other serving suites.
 
 use bias_aware_sketches::prelude::*;
-use bias_aware_sketches::server::wire::{IngestFrame, PointQuery, TenantRef};
+use bias_aware_sketches::server::wire::{IngestFrame, PointQuery, RangeQuery, TenantRef};
 use bias_aware_sketches::server::{
     read_frame, recover, write_frame, Client, Daemon, DaemonConfig, Deadlines, Fabric,
     FabricConfig, IngestBatcher, Journal, Request, Response, RetryPolicy, TenantSpec,
@@ -393,6 +393,172 @@ fn ingest_batcher_ships_full_frames_and_absorbs_backpressure() {
         assert_eq!(wire.to_bits(), local.to_bits(), "item {item}");
     }
     drop(client);
+    daemon.shutdown().unwrap();
+}
+
+/// A non-admitted frame leaves its updates buffered in the
+/// [`IngestBatcher`]: a `Shed` answer hands the frame back intact, and
+/// once the interval advances `finish` ships exactly those updates.
+#[test]
+fn ingest_batcher_keeps_unadmitted_updates_buffered() {
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    let daemon = Daemon::bind_tcp("127.0.0.1:0", fabric, None, daemon_config()).unwrap();
+    let addr = daemon.local_addr().unwrap();
+    let mut client = tcp_client(addr);
+    let spec = TenantSpec::frequency(4, 44).with_interval_quota(1_000);
+    match client.call(&Request::Register(spec)).unwrap() {
+        Response::Installed(_) => {}
+        other => panic!("{other:?}"),
+    }
+    let updates = stream(4, 1_300);
+    let mut batcher = IngestBatcher::new(4, 640);
+    // The second frame would take the interval to 1 280 > 1 000.
+    let answers = batcher.extend(&mut client, &updates).unwrap();
+    assert!(
+        matches!(answers[..], [Response::Admitted(_), Response::Shed(_)]),
+        "{answers:?}"
+    );
+    assert_eq!(batcher.pending(), 640);
+    client
+        .call(&Request::AdvanceInterval(TenantRef { tenant: 4 }))
+        .unwrap();
+    assert!(matches!(
+        batcher.finish(&mut client).unwrap(),
+        Some(Response::Admitted(_))
+    ));
+    assert_eq!(batcher.pending(), 0);
+    client
+        .call(&Request::Flush(TenantRef { tenant: 4 }))
+        .unwrap();
+    match client
+        .call(&Request::Stats(TenantRef { tenant: 4 }))
+        .unwrap()
+    {
+        Response::Stats(s) => {
+            assert_eq!(s.applied, 1_280);
+            let mass: f64 = updates[..1_280].iter().map(|&(_, d)| d).sum();
+            assert_eq!(s.mass.to_bits(), mass.to_bits());
+        }
+        other => panic!("{other:?}"),
+    }
+    drop(client);
+    daemon.shutdown().unwrap();
+}
+
+/// A binary ingest frame built by hand from the layout in the `wire`
+/// module docs: `u32` BE length, tag `0x01`, tenant, then
+/// `(item, delta bits)` pairs, all little-endian.
+fn binary_ingest_frame(tenant: u64, updates: &[(u64, f64)]) -> Vec<u8> {
+    let mut body = vec![0x01];
+    body.extend_from_slice(&tenant.to_le_bytes());
+    for &(item, delta) in updates {
+        body.extend_from_slice(&item.to_le_bytes());
+        body.extend_from_slice(&delta.to_bits().to_le_bytes());
+    }
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    frame
+}
+
+/// Everything a tenant reports, as bits: stats, a grid of point
+/// estimates, and (range-sum tenants) a grid of range sums.
+fn observe(mut call: impl FnMut(Request) -> Response, tenant: u64) -> Vec<u64> {
+    let mut out = match call(Request::Stats(TenantRef { tenant })) {
+        Response::Stats(s) => vec![
+            s.applied,
+            s.mass.to_bits(),
+            s.pending,
+            s.admitted_in_interval,
+            s.interval,
+        ],
+        other => panic!("expected stats, got {other:?}"),
+    };
+    for item in (0..N).step_by(97) {
+        out.push(expect_value(call(Request::Point(PointQuery { tenant, item }))).to_bits());
+        let range = RangeQuery {
+            tenant,
+            lo: item / 2,
+            hi: item,
+        };
+        match call(Request::RangeSum(range)) {
+            Response::Value(v) => out.push(v.value.to_bits()),
+            Response::Error(e) => assert_eq!(e.code, "unsupported"),
+            other => panic!("{other:?}"),
+        }
+    }
+    out
+}
+
+/// Admission rejects, over a real socket, a binary ingest frame that
+/// carries an item outside the universe or a `+inf` delta (which the
+/// binary body delivers exactly; JSON would have turned it into NaN):
+/// the answer is `bad_ingest`, and applied, pending and every answer —
+/// before and after the next flush — match a twin fabric that never
+/// saw the frame. Before admission checked the universe, the range-sum
+/// tenant's flush panicked on `item = n`.
+#[test]
+fn out_of_universe_and_infinite_binary_frames_are_rejected_and_change_nothing() {
+    let build = || {
+        let mut fabric = Fabric::new(config());
+        fabric.add_shard(0, 1.0).unwrap();
+        fabric
+            .register_tenant(TenantSpec::frequency(1, 11))
+            .unwrap();
+        fabric
+            .register_tenant(TenantSpec::range_sum(2, 22))
+            .unwrap();
+        // One flushed frame per tenant, then one left pending.
+        for tenant in [1u64, 2] {
+            for (updates, flush) in [
+                (stream(tenant, 500), true),
+                (stream(tenant + 5, 200), false),
+            ] {
+                let resp = fabric.handle(Request::Ingest(IngestFrame { tenant, updates }));
+                assert!(matches!(resp, Response::Admitted(_)), "{resp:?}");
+                if flush {
+                    fabric.handle(Request::Flush(TenantRef { tenant }));
+                }
+            }
+        }
+        fabric
+    };
+    let mut twin = build();
+    let daemon = Daemon::bind_tcp("127.0.0.1:0", build(), None, daemon_config()).unwrap();
+    let addr = daemon.local_addr().unwrap();
+    let mut client = tcp_client(addr);
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    for tenant in [1u64, 2] {
+        let before = observe(|r| client.call(&r).unwrap(), tenant);
+        assert_eq!(before, observe(|r| twin.handle(r), tenant));
+        for (bad, why) in [
+            ((N, 1.0), "outside the universe"),
+            ((u64::MAX, 1.0), "outside the universe"),
+            ((3, f64::INFINITY), "non-finite delta inf"),
+        ] {
+            let mut updates = stream(tenant + 9, 50);
+            updates[17] = bad;
+            raw.write_all(&binary_ingest_frame(tenant, &updates))
+                .unwrap();
+            match read_frame::<_, Response>(&mut raw, MAX_FRAME_BYTES).unwrap() {
+                Some(Response::Error(e)) => {
+                    assert_eq!(e.code, "bad_ingest", "{bad:?}");
+                    assert!(e.detail.contains(why), "{bad:?}: {}", e.detail);
+                }
+                other => panic!("tenant {tenant}, {bad:?}: {other:?}"),
+            }
+        }
+        assert_eq!(observe(|r| client.call(&r).unwrap(), tenant), before);
+        client.call(&Request::Flush(TenantRef { tenant })).unwrap();
+        twin.handle(Request::Flush(TenantRef { tenant }));
+        assert_eq!(
+            observe(|r| client.call(&r).unwrap(), tenant),
+            observe(|r| twin.handle(r), tenant)
+        );
+    }
+    drop((client, raw));
     daemon.shutdown().unwrap();
 }
 

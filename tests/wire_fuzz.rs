@@ -3,14 +3,18 @@
 //! bit-for-bit, and hostile bytes — truncation, corruption, oversized
 //! length prefixes — must come back as typed [`WireError`]s, never a
 //! panic, and (for the recoverable classes) never a desynced stream.
+//! Ingest frames travel in the binary layout documented on
+//! `bas_server::wire`, so every property below that draws an ingest
+//! request exercises the binary codec; the dedicated properties pin
+//! its layout and its exactness over every `f64` bit pattern.
 
 use bias_aware_sketches::prelude::*;
-use bias_aware_sketches::server::wire::DRAIN_BUDGET_MULTIPLE;
 use bias_aware_sketches::server::wire::{
     AdmitReceipt, BusyReceipt, ErrorReply, FlushReceipt, HeavyHittersQuery, HeavyHittersReply,
     IngestFrame, PointQuery, RangeQuery, SealFrame, SealReceipt, ShedReceipt, StatsReply,
     TenantRef, ValueReply,
 };
+use bias_aware_sketches::server::wire::{DRAIN_BUDGET_MULTIPLE, INGEST_TAG};
 use bias_aware_sketches::server::{
     read_frame, write_frame, Request, Response, ServingMode, TenantSpec, TenantTransfer, WindowLen,
     WireError, MAX_FRAME_BYTES,
@@ -151,8 +155,128 @@ fn response(sel: u64, tenant: u64, updates: &[(u64, f64)], cells: &[f64]) -> Res
     }
 }
 
+/// An arbitrary `f64` bit pattern, with the values a text codec
+/// mangles forced often: NaN payloads of both signs, `±0`, `±inf`,
+/// the extreme subnormals, and `f64::MAX`.
+fn delta_bits(sel: u64, bits: u64) -> u64 {
+    match sel {
+        0 => 0x7FF8_0000_0000_0001, // quiet NaN with a payload
+        1 => 0xFFF0_0000_0000_0BAD, // negative signalling NaN
+        2 => 0x0000_0000_0000_0000, // +0
+        3 => 0x8000_0000_0000_0000, // −0
+        4 => f64::INFINITY.to_bits(),
+        5 => f64::NEG_INFINITY.to_bits(),
+        6 => 0x0000_0000_0000_0001, // smallest subnormal
+        7 => 0x800F_FFFF_FFFF_FFFF, // largest negative subnormal
+        8 => f64::MAX.to_bits(),
+        _ => bits,
+    }
+}
+
+/// An arbitrary item, `u64::MAX` and 0 included.
+fn item(sel: u64, raw: u64) -> u64 {
+    match sel {
+        0 => u64::MAX,
+        1 => 0,
+        _ => raw,
+    }
+}
+
+/// A binary ingest body built by hand from the documented layout.
+fn ingest_body(tenant: u64, updates: &[(u64, u64)]) -> Vec<u8> {
+    let mut body = vec![INGEST_TAG];
+    body.extend_from_slice(&tenant.to_le_bytes());
+    for &(item, bits) in updates {
+        body.extend_from_slice(&item.to_le_bytes());
+        body.extend_from_slice(&bits.to_le_bytes());
+    }
+    body
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Binary ingest frames carry every `f64` bit pattern and every
+    /// `u64` item exactly, in the documented layout.
+    #[test]
+    fn binary_ingest_round_trips_every_bit_pattern(
+        tenant_sel in 0u64..4,
+        tenant in 0u64..u64::MAX,
+        raw in prop::collection::vec((0u64..6, 0u64..u64::MAX, 0u64..24, 0u64..u64::MAX), 0..40),
+    ) {
+        let tenant = item(tenant_sel, tenant);
+        let updates: Vec<(u64, u64)> = raw
+            .iter()
+            .map(|&(isel, i, dsel, d)| (item(isel, i), delta_bits(dsel, d)))
+            .collect();
+        let req = Request::Ingest(IngestFrame {
+            tenant,
+            updates: updates.iter().map(|&(i, b)| (i, f64::from_bits(b))).collect(),
+        });
+        let mut buf = Vec::new();
+        let written = write_frame(&mut buf, &req).unwrap();
+        let body = ingest_body(tenant, &updates);
+        prop_assert_eq!(written, 4 + body.len());
+        prop_assert_eq!(&buf[..4], &(body.len() as u32).to_be_bytes()[..]);
+        prop_assert_eq!(&buf[4..], &body[..]);
+        match read_frame::<_, Request>(&mut &buf[..], MAX_FRAME_BYTES).unwrap().unwrap() {
+            Request::Ingest(back) => {
+                prop_assert_eq!(back.tenant, tenant);
+                let bits: Vec<(u64, u64)> =
+                    back.updates.iter().map(|&(i, d)| (i, d.to_bits())).collect();
+                prop_assert_eq!(bits, updates);
+            }
+            other => prop_assert!(false, "decoded {:?}", other),
+        }
+    }
+
+    /// A tag-first body whose length is not `9 + 16n` is a recoverable
+    /// `Malformed` — for a `Request` and for a `Response` reader alike
+    /// — and the next frame decodes exactly.
+    #[test]
+    fn misaligned_binary_bodies_are_malformed_and_stay_in_sync(
+        sel in 0u64..10_000,
+        tenant in 0u64..u64::MAX,
+        len in 1usize..200,
+        fill in 0u64..256,
+    ) {
+        prop_assume!(len < 9 || (len - 9) % 16 != 0);
+        let mut body = vec![fill as u8; len];
+        body[0] = INGEST_TAG;
+        let next = request(sel, tenant, &[(3, 1.5)], &[2.0]);
+        let mut buf = (len as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(&body);
+        write_frame(&mut buf, &next).unwrap();
+        let mut cursor = &buf[..];
+        match read_frame::<_, Request>(&mut cursor, MAX_FRAME_BYTES) {
+            Err(e @ WireError::Malformed { .. }) => prop_assert!(e.is_recoverable()),
+            other => prop_assert!(false, "expected Malformed, got ok={:?}", other.is_ok()),
+        }
+        let back: Request = read_frame(&mut cursor, MAX_FRAME_BYTES).unwrap().unwrap();
+        prop_assert_eq!(back, next);
+    }
+
+    /// A binary ingest body arriving where a `Response` is expected is
+    /// `Malformed`, never a panic or a desync.
+    #[test]
+    fn binary_ingest_bodies_are_not_responses(
+        sel in 0u64..10_000,
+        tenant in 0u64..u64::MAX,
+        updates in prop::collection::vec((0u64..u64::MAX, -1e9f64..1e9), 0..16),
+        cells in prop::collection::vec(-1e12f64..1e12, 1..9),
+    ) {
+        let resp = response(sel, tenant, &updates, &cells);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &Request::Ingest(IngestFrame { tenant, updates })).unwrap();
+        write_frame(&mut buf, &resp).unwrap();
+        let mut cursor = &buf[..];
+        match read_frame::<_, Response>(&mut cursor, MAX_FRAME_BYTES) {
+            Err(e @ WireError::Malformed { .. }) => prop_assert!(e.is_recoverable()),
+            other => prop_assert!(false, "expected Malformed, got ok={:?}", other.is_ok()),
+        }
+        let back: Response = read_frame(&mut cursor, MAX_FRAME_BYTES).unwrap().unwrap();
+        prop_assert_eq!(back, resp);
+    }
 
     /// Every request and response frame round-trips bit-for-bit.
     #[test]
