@@ -149,7 +149,7 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
     }
 
     /// Applies all buffered updates now. With one worker the flush
-    /// runs inline through [`SharedSketch::update_batch_shared`];
+    /// runs inline through [`apply_shared`];
     /// otherwise the sketch's rows are split into `min(workers, depth)`
     /// contiguous ranges and each scoped thread applies the whole
     /// buffer to its own range — every row has one writer. Returns with
@@ -168,10 +168,11 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
         let sketch = &self.sketch;
         let workers = self.workers;
         self.buf.drain(|pending| {
-            let guard = sketch.write_epoch().map(EpochGuard::enter);
             if workers == 1 {
-                sketch.update_batch_shared(pending);
-            } else {
+                apply_shared(sketch, pending);
+                return;
+            }
+            in_write_section(sketch, pending, || {
                 let depth = sketch.shared_rows();
                 let parts = workers.min(depth).max(1);
                 let rows = |k: usize| k * depth / parts..(k + 1) * depth / parts;
@@ -182,14 +183,7 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
                     sketch.update_rows_shared(rows(0), pending);
                 })
                 .expect("concurrent ingest worker panicked");
-            }
-            if guard.is_some() {
-                // Only epoch-published sketches track stream position;
-                // plain sketches' note_applied is a no-op, so skip the
-                // O(buffer) mass sum on their hot path.
-                sketch.note_applied(pending.len() as u64, pending.iter().map(|&(_, d)| d).sum());
-            }
-            drop(guard); // close the write section: the flush is visible
+            });
         });
     }
 
@@ -200,6 +194,37 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
         self.flush();
         self.sketch
     }
+}
+
+/// Applies `updates` to `sketch` as its only writer, in **one** write
+/// section: every row through [`SharedSketch::update_batch_shared`],
+/// then the stream position through [`SharedSketch::note_applied`]
+/// before the section closes. Seqlock readers therefore see either
+/// none of the batch or all of it.
+///
+/// This is the one-worker flush of [`ConcurrentIngest`], exposed so a
+/// caller that keeps its own queue of batches (the serving daemon's
+/// write-behind writer) applies them exactly as a flush would, from any
+/// thread holding a handle to the sketch. The caller must serialize
+/// write sections on the sketch: a second writer inside an open section
+/// is a hard error in [`EpochCounter::begin_write`](bas_sketch::storage::EpochCounter::begin_write).
+pub fn apply_shared<S: SharedSketch>(sketch: &S, updates: &[(u64, f64)]) {
+    in_write_section(sketch, updates, || sketch.update_batch_shared(updates));
+}
+
+/// Runs `write` (which must apply exactly `updates`) inside the
+/// sketch's write section, if it publishes one, and advances the stream
+/// position before the section closes.
+fn in_write_section<S: SharedSketch>(sketch: &S, updates: &[(u64, f64)], write: impl FnOnce()) {
+    let guard = sketch.write_epoch().map(EpochGuard::enter);
+    write();
+    if guard.is_some() {
+        // Only epoch-published sketches track stream position; plain
+        // sketches' note_applied is a no-op, so skip the O(batch) mass
+        // sum on their hot path.
+        sketch.note_applied(updates.len() as u64, updates.iter().map(|&(_, d)| d).sum());
+    }
+    drop(guard); // close the write section: the batch is visible
 }
 
 #[cfg(test)]

@@ -90,7 +90,7 @@ pub mod rotate;
 mod sharded;
 pub mod window;
 
-pub use concurrent::ConcurrentIngest;
+pub use concurrent::{apply_shared, ConcurrentIngest};
 pub use epoch::{
     EpochGuard, EpochHandle, EpochSketch, FillBudget, SnapshotHandle, SnapshotUnavailable,
 };

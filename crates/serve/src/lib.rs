@@ -254,6 +254,15 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
         }
     }
 
+    /// The live plane's shared handle, the writer's end of it: a caller
+    /// that applies batches itself (through
+    /// [`bas_pipeline::apply_shared`]) instead of pushing them here
+    /// writes through this handle. Such a caller must keep write
+    /// sections serialized with this engine's own flushes.
+    pub fn live(&self) -> &EpochHandle<S> {
+        self.ingest.shared()
+    }
+
     /// Live lock-free point estimate — see the crate docs for when the
     /// live mode is appropriate. Always since-boot: windowed scoping
     /// requires a frozen plane to subtract from, which is what

@@ -237,10 +237,16 @@ fn run(args: Args) -> Result<(), String> {
     // is best-effort, not a reason to exit nonzero.
     let _ = writeln!(
         std::io::stdout(),
-        "shutdown clean: {} connections, {} frames, {} intervals sealed",
+        "shutdown clean: {} connections, {} frames, {} intervals sealed, \
+         {} frames applied by the writer, {} peak queued updates, \
+         {} waits on in-flight frames, {} journal failures",
         report.connections,
         report.frames,
-        report.sealed.len()
+        report.sealed.len(),
+        report.frames_applied,
+        report.peak_queued,
+        report.waits,
+        report.journal_failures
     );
     Ok(())
 }

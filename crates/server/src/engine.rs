@@ -10,6 +10,7 @@ use crate::wire::{
     ErrorReply, MetricKind, SealFrame, ServingMode, TenantSpec, TenantTransfer, WindowLen,
 };
 use bas_hash::SeedSchedule;
+use bas_pipeline::{apply_shared, EpochHandle};
 use bas_serve::{
     AuditPolicy, AuditedHandle, QueryEngine, QueryError, RotatingEngine, Sliding, Tumbling,
     Unbounded,
@@ -66,6 +67,26 @@ macro_rules! dispatch_windowed {
     };
 }
 
+/// A clone of one tenant's live plane: what every admitted frame is
+/// applied to, by the fabric's drains or, outside the fabric lock, by
+/// the daemon's writer. The rotating engine's live generation is a
+/// frequency plane too.
+#[derive(Debug)]
+pub(crate) enum LivePlane {
+    Freq(EpochHandle<AtomicCountMedian>),
+    Range(EpochHandle<RangeSumSketch<Atomic>>),
+}
+
+impl LivePlane {
+    /// Applies one frame in one write section (see [`apply_shared`]).
+    pub(crate) fn apply(&self, updates: &[(u64, f64)]) {
+        match self {
+            Self::Freq(h) => apply_shared(h, updates),
+            Self::Range(h) => apply_shared(h, updates),
+        }
+    }
+}
+
 /// One tenant's serving state: the engine plus the optional audited
 /// point-query handles its spec asked for.
 #[derive(Debug)]
@@ -109,11 +130,13 @@ fn window_len(tenant: u64, len: WindowLen) -> Result<usize, ErrorReply> {
 impl EngineSlot {
     /// Builds a fresh (empty) engine for `spec`, shaped by the
     /// fabric's parameter template reseeded with the tenant's seed.
-    /// The engine's internal flush threshold is pinned to the spec's
-    /// queue capacity, so the buffered backlog can never exceed the
-    /// admission bound even without an explicit flush. Every engine
-    /// flushes inline with one worker: the fabric already serializes
-    /// dispatch, so the dispatching thread is each tenant's one writer.
+    ///
+    /// The engine's own ingest buffer stays empty: the fabric queues
+    /// admitted frames itself and applies each one to the live plane
+    /// through a [`LivePlane`], on the dispatching thread or on the
+    /// daemon's writer. Either way one thread at a time writes the
+    /// plane — the fabric serializes the two paths — so every engine is
+    /// built with one worker.
     pub(crate) fn build(spec: &TenantSpec, template: SketchParams) -> Result<Self, ErrorReply> {
         let tenant = spec.tenant;
         if spec.queue_capacity == 0 || spec.interval_quota == 0 {
@@ -123,27 +146,27 @@ impl EngineSlot {
             ));
         }
         let params = template.with_seed(spec.seed);
-        let threshold = usize::try_from(spec.queue_capacity).unwrap_or(usize::MAX);
         let engine = match (spec.metric, spec.mode) {
             (MetricKind::Frequency, ServingMode::Unbounded) => TenantEngine::FreqUnbounded(
-                QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), Unbounded)
-                    .with_flush_threshold(threshold),
+                QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), Unbounded),
             ),
             (MetricKind::Frequency, ServingMode::Tumbling(len)) => {
                 let policy =
                     Tumbling::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
-                TenantEngine::FreqTumbling(
-                    QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), policy)
-                        .with_flush_threshold(threshold),
-                )
+                TenantEngine::FreqTumbling(QueryEngine::with_policy(
+                    1,
+                    AtomicCountMedian::with_backend(&params),
+                    policy,
+                ))
             }
             (MetricKind::Frequency, ServingMode::Sliding(len)) => {
                 let policy =
                     Sliding::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
-                TenantEngine::FreqSliding(
-                    QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), policy)
-                        .with_flush_threshold(threshold),
-                )
+                TenantEngine::FreqSliding(QueryEngine::with_policy(
+                    1,
+                    AtomicCountMedian::with_backend(&params),
+                    policy,
+                ))
             }
             (MetricKind::Frequency, ServingMode::Rotating(len)) => {
                 let mut rotating = RotatingEngine::new(
@@ -152,44 +175,36 @@ impl EngineSlot {
                     SeedSchedule::new(spec.seed),
                     window_len(tenant, len)?,
                 )
-                .map_err(|e| query_error(tenant, e))?
-                .with_flush_threshold(threshold);
+                .map_err(|e| query_error(tenant, e))?;
                 if spec.audit_limit > 0 {
                     rotating = rotating.with_audit(AuditPolicy::new(spec.audit_limit));
                 }
                 TenantEngine::Rotating(Box::new(rotating))
             }
-            (MetricKind::RangeSum, ServingMode::Unbounded) => TenantEngine::RangeUnbounded(
-                QueryEngine::with_policy(
+            (MetricKind::RangeSum, ServingMode::Unbounded) => {
+                TenantEngine::RangeUnbounded(QueryEngine::with_policy(
                     1,
                     RangeSumSketch::<Atomic>::with_backend(&params),
                     Unbounded,
-                )
-                .with_flush_threshold(threshold),
-            ),
+                ))
+            }
             (MetricKind::RangeSum, ServingMode::Tumbling(len)) => {
                 let policy =
                     Tumbling::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
-                TenantEngine::RangeTumbling(
-                    QueryEngine::with_policy(
-                        1,
-                        RangeSumSketch::<Atomic>::with_backend(&params),
-                        policy,
-                    )
-                    .with_flush_threshold(threshold),
-                )
+                TenantEngine::RangeTumbling(QueryEngine::with_policy(
+                    1,
+                    RangeSumSketch::<Atomic>::with_backend(&params),
+                    policy,
+                ))
             }
             (MetricKind::RangeSum, ServingMode::Sliding(len)) => {
                 let policy =
                     Sliding::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
-                TenantEngine::RangeSliding(
-                    QueryEngine::with_policy(
-                        1,
-                        RangeSumSketch::<Atomic>::with_backend(&params),
-                        policy,
-                    )
-                    .with_flush_threshold(threshold),
-                )
+                TenantEngine::RangeSliding(QueryEngine::with_policy(
+                    1,
+                    RangeSumSketch::<Atomic>::with_backend(&params),
+                    policy,
+                ))
             }
             (MetricKind::RangeSum, ServingMode::Rotating(_)) => {
                 return Err(unsupported(
@@ -228,19 +243,22 @@ impl EngineSlot {
 
     // ---- write path ----
 
-    pub(crate) fn extend_from_slice(&mut self, updates: &[(u64, f64)]) {
-        dispatch!(&mut self.engine, e => e.extend_from_slice(updates),
-                  r => r.extend_from_slice(updates));
+    /// A handle to the live plane, for applying admitted frames to it
+    /// (on this thread, or on the daemon's writer).
+    pub(crate) fn live_plane(&self) -> LivePlane {
+        match &self.engine {
+            TenantEngine::FreqUnbounded(e) => LivePlane::Freq(e.live().clone()),
+            TenantEngine::FreqTumbling(e) => LivePlane::Freq(e.live().clone()),
+            TenantEngine::FreqSliding(e) => LivePlane::Freq(e.live().clone()),
+            TenantEngine::RangeUnbounded(e) => LivePlane::Range(e.live().clone()),
+            TenantEngine::RangeTumbling(e) => LivePlane::Range(e.live().clone()),
+            TenantEngine::RangeSliding(e) => LivePlane::Range(e.live().clone()),
+            TenantEngine::Rotating(r) => LivePlane::Freq(r.live().clone()),
+        }
     }
 
-    /// Flushes the buffered backlog; returns the applied count.
-    pub(crate) fn flush(&mut self) -> u64 {
-        dispatch!(&mut self.engine, e => { e.flush(); e.applied() },
-                  r => { r.flush(); r.window_applied() })
-    }
-
-    /// Closes the interval (flush + seal + audit reset); returns the
-    /// sealed interval id.
+    /// Closes the interval (seal + audit reset); returns the sealed
+    /// interval id.
     pub(crate) fn advance_interval(&mut self) -> u64 {
         let sealed = dispatch!(&mut self.engine, e => e.advance_interval(),
                                r => r.advance_interval());
@@ -255,10 +273,6 @@ impl EngineSlot {
     }
 
     // ---- bookkeeping ----
-
-    pub(crate) fn pending(&self) -> u64 {
-        dispatch!(&self.engine, e => e.pending() as u64, r => r.pending() as u64)
-    }
 
     pub(crate) fn applied(&self) -> u64 {
         dispatch!(&self.engine, e => e.applied(), r => r.window_applied())
@@ -374,11 +388,11 @@ impl EngineSlot {
     /// position. Rotating tenants refuse — their generations carry
     /// heterogeneous seeds, so no single linear merge rebuilds them.
     pub(crate) fn export(
-        &mut self,
+        &self,
         spec: TenantSpec,
         params: SketchParams,
     ) -> Result<TenantTransfer, ErrorReply> {
-        match &mut self.engine {
+        match &self.engine {
             TenantEngine::Rotating(_) => Err(unsupported(
                 spec.tenant,
                 "rotating tenants are pinned to their shard",
@@ -526,11 +540,10 @@ fn checked_range_sum<P: bas_serve::ServingPolicy>(
 }
 
 fn export_freq<P: bas_serve::ServingPolicy>(
-    e: &mut FreqEngine<P>,
+    e: &FreqEngine<P>,
     spec: TenantSpec,
     params: SketchParams,
 ) -> Result<TenantTransfer, ErrorReply> {
-    e.flush();
     let snap = e.pin();
     Ok(TenantTransfer {
         spec,
@@ -553,11 +566,10 @@ fn export_freq<P: bas_serve::ServingPolicy>(
 }
 
 fn export_range<P: bas_serve::ServingPolicy>(
-    e: &mut RangeEngine<P>,
+    e: &RangeEngine<P>,
     spec: TenantSpec,
     params: SketchParams,
 ) -> Result<TenantTransfer, ErrorReply> {
-    e.flush();
     let snap = e.pin();
     Ok(TenantTransfer {
         spec,

@@ -6,9 +6,22 @@
 //! The fabric is the server's single-threaded control plane: every
 //! request funnels through [`Fabric::handle`], which owns placement
 //! lookup, admission (quota → [`Response::Shed`], queue bound →
-//! [`Response::Busy`]), and dispatch into the tenant's engine. The
-//! engines themselves fan ingest across worker shards internally, so
-//! one fabric instance still exercises the concurrent ingest path.
+//! [`Response::Busy`]), and dispatch into the tenant's engine.
+//!
+//! **Admission queues; it never runs the kernel.** An admitted
+//! [`Request::Ingest`] frame moves, as decoded, onto its tenant's FIFO.
+//! `Flush`, `AdvanceInterval`, `Export`, rebalance and
+//! [`quiesce`](Fabric::quiesce) drain that FIFO in admission order, one
+//! epoch write section per frame, before they act — so in-process
+//! dispatch is synchronous: every answer comes from a flush-boundary
+//! prefix of the admitted stream, and `Flushed` means everything
+//! admitted before it is applied. A tenant's `pending` counts its
+//! queued updates (plus the one frame a daemon writer may hold), so
+//! `queue_capacity` bounds the queue's memory. The daemon
+//! ([`Daemon`](crate::Daemon)) adds one writer thread that takes queued
+//! frames in admission order and applies them outside the fabric lock;
+//! the rules that keep it the tenant's only writer live on
+//! [`SharedFabric`](crate::SharedFabric).
 //!
 //! **Rebalance by linearity.** Moving a tenant ships its counter
 //! planes — never its hashers — through the real wire format
@@ -18,7 +31,7 @@
 //! the planes by linearity, so a moved tenant answers **bit-for-bit**
 //! like one that never moved.
 
-use crate::engine::EngineSlot;
+use crate::engine::{EngineSlot, LivePlane};
 use crate::placement::PlacementRing;
 use crate::wire::{
     self, AdmitReceipt, BusyReceipt, ErrorReply, FlushReceipt, HeavyHittersReply, IngestFrame,
@@ -27,7 +40,14 @@ use crate::wire::{
 };
 use bas_distributed::CommMeter;
 use bas_sketch::SketchParams;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+
+/// The largest delta magnitude admission accepts, `2^53`. Integers up
+/// to it are exact in `f64`, and a cell fed only such deltas cannot
+/// leave the finite range before `2^970` updates — so no admitted
+/// stream can push a counter to ±inf (which JSON cannot carry through a
+/// transfer or a checkpoint).
+pub const MAX_ABS_DELTA: f64 = 9_007_199_254_740_992.0;
 
 /// Fabric-wide configuration shared by every tenant engine.
 ///
@@ -59,12 +79,44 @@ impl FabricConfig {
     }
 }
 
-/// One tenant's fabric-side state: spec, quota bookkeeping, engine.
+/// One tenant's fabric-side state: spec, quota bookkeeping, engine,
+/// and the queue of admitted frames not yet applied.
 #[derive(Debug)]
 struct Tenant {
     spec: TenantSpec,
     admitted_in_interval: u64,
     slot: EngineSlot,
+    /// Admitted frames, oldest first, kept as decoded and dropped once
+    /// applied.
+    queue: VecDeque<Vec<(u64, f64)>>,
+    /// Updates admitted but not yet applied: the queued frames plus the
+    /// frame a daemon writer has in flight.
+    pending: u64,
+}
+
+impl Tenant {
+    fn new(spec: TenantSpec, admitted_in_interval: u64, slot: EngineSlot) -> Self {
+        Self {
+            spec,
+            admitted_in_interval,
+            slot,
+            queue: VecDeque::new(),
+            pending: 0,
+        }
+    }
+
+    /// Applies every queued frame in admission order; returns the
+    /// updates applied. The caller guarantees that no frame of this
+    /// tenant is in flight on a writer.
+    fn drain(&mut self) -> u64 {
+        let mut applied = 0;
+        while let Some(frame) = self.queue.pop_front() {
+            self.slot.live_plane().apply(&frame);
+            applied += frame.len() as u64;
+        }
+        self.pending -= applied;
+        applied
+    }
 }
 
 /// A record of one tenant move in a [`RebalanceReport`].
@@ -102,6 +154,10 @@ pub struct Fabric {
     /// Tenant → hosting shard.
     assignments: BTreeMap<u64, u64>,
     meter: CommMeter,
+    /// Updates admitted and not yet applied, across all tenants.
+    queued: u64,
+    /// The most `queued` has ever been.
+    peak_queued: u64,
 }
 
 fn unknown_tenant(tenant: u64) -> ErrorReply {
@@ -171,6 +227,8 @@ impl Fabric {
             shards: BTreeMap::new(),
             assignments: BTreeMap::new(),
             meter: CommMeter::new(),
+            queued: 0,
+            peak_queued: 0,
         }
     }
 
@@ -188,6 +246,12 @@ impl Fabric {
     /// ingest handled in-process are not metered).
     pub fn meter(&self) -> &CommMeter {
         &self.meter
+    }
+
+    /// The most updates ever admitted and not yet applied at once,
+    /// across all tenants: the high-water mark of the ingest queues.
+    pub fn peak_queued(&self) -> u64 {
+        self.peak_queued
     }
 
     /// Number of registered tenants.
@@ -337,6 +401,7 @@ impl Fabric {
                     tenant,
                     shard: from,
                 })?;
+            self.queued -= t.drain();
             t.slot
                 .export(t.spec, self.config.params.with_seed(t.spec.seed))?
         };
@@ -366,14 +431,10 @@ impl Fabric {
                 })?;
             old.admitted_in_interval
         };
-        self.shards.entry(to).or_default().insert(
-            tenant,
-            Tenant {
-                spec,
-                admitted_in_interval: admitted,
-                slot,
-            },
-        );
+        self.shards
+            .entry(to)
+            .or_default()
+            .insert(tenant, Tenant::new(spec, admitted, slot));
         self.assignments.insert(tenant, to);
         Ok(bytes as u64)
     }
@@ -398,14 +459,10 @@ impl Fabric {
             .place(spec.tenant)
             .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
         let slot = EngineSlot::build(&spec, self.config.params.clone())?;
-        self.shards.entry(shard).or_default().insert(
-            spec.tenant,
-            Tenant {
-                spec,
-                admitted_in_interval: 0,
-                slot,
-            },
-        );
+        self.shards
+            .entry(shard)
+            .or_default()
+            .insert(spec.tenant, Tenant::new(spec, 0, slot));
         self.assignments.insert(spec.tenant, shard);
         Ok(shard)
     }
@@ -426,14 +483,10 @@ impl Fabric {
             .place(tenant)
             .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
         let slot = EngineSlot::install(transfer, self.config.params.clone())?;
-        self.shards.entry(shard).or_default().insert(
-            tenant,
-            Tenant {
-                spec: transfer.spec,
-                admitted_in_interval: 0,
-                slot,
-            },
-        );
+        self.shards
+            .entry(shard)
+            .or_default()
+            .insert(tenant, Tenant::new(transfer.spec, 0, slot));
         self.assignments.insert(tenant, shard);
         Ok(shard)
     }
@@ -448,7 +501,7 @@ impl Fabric {
         self.assignments.keys().copied().collect()
     }
 
-    /// Closes the open interval of every tenant (flushing pending
+    /// Closes the open interval of every tenant (applying queued
     /// updates first, exactly as [`Request::AdvanceInterval`] does) and
     /// resets quota bookkeeping. Graceful shutdown calls this so a
     /// restarted daemon resumes on a clean interval boundary. Returns
@@ -458,6 +511,7 @@ impl Fabric {
         let mut sealed = Vec::new();
         for shard in self.shards.values_mut() {
             for (tenant, t) in shard.iter_mut() {
+                self.queued -= t.drain();
                 let interval = t.slot.advance_interval();
                 t.admitted_in_interval = 0;
                 sealed.push((*tenant, interval));
@@ -473,6 +527,28 @@ impl Fabric {
     #[doc(hidden)]
     pub fn desync_assignment_for_test(&mut self, tenant: u64, shard: u64) {
         self.assignments.insert(tenant, shard);
+    }
+
+    // ---- the daemon writer's side ----
+
+    /// Takes `tenant`'s oldest queued frame and a handle to its live
+    /// plane, for a writer that applies the frame outside the fabric
+    /// lock. Its updates stay counted as pending until
+    /// [`finish_frame`](Self::finish_frame). `None` if the queue is
+    /// empty (a drain got there first) or the tenant is unknown.
+    pub(crate) fn take_frame(&mut self, tenant: u64) -> Option<(Vec<(u64, f64)>, LivePlane)> {
+        let t = self.tenant_mut(tenant).ok()?;
+        let frame = t.queue.pop_front()?;
+        Some((frame, t.slot.live_plane()))
+    }
+
+    /// The frame [`take_frame`](Self::take_frame) handed out is applied:
+    /// its `updates` leave the pending counts.
+    pub(crate) fn finish_frame(&mut self, tenant: u64, updates: u64) {
+        if let Ok(t) = self.tenant_mut(tenant) {
+            t.pending -= updates;
+        }
+        self.queued -= updates;
     }
 
     fn tenant(&self, tenant: u64) -> Result<&Tenant, ErrorReply> {
@@ -501,6 +577,15 @@ impl Fabric {
             .ok_or(FabricError::TenantMissing { tenant, shard })?)
     }
 
+    /// The tenant with its queue applied: what every request that reads
+    /// or moves the whole plane starts from.
+    fn drained_mut(&mut self, tenant: u64) -> Result<&mut Tenant, ErrorReply> {
+        let t = self.tenant_mut(tenant)?;
+        let applied = t.drain();
+        self.queued -= applied;
+        self.tenant_mut(tenant)
+    }
+
     // ---- the request plane ----
 
     /// Handles one request frame; every outcome — including every
@@ -509,13 +594,13 @@ impl Fabric {
         match req {
             Request::Ping => Response::Pong,
             Request::Ingest(frame) => self.ingest(frame),
-            Request::Flush(TenantRef { tenant }) => self.with_tenant_mut(tenant, |t| {
+            Request::Flush(TenantRef { tenant }) => self.with_drained(tenant, |t| {
                 Response::Flushed(FlushReceipt {
                     tenant,
-                    applied: t.slot.flush(),
+                    applied: t.slot.applied(),
                 })
             }),
-            Request::AdvanceInterval(TenantRef { tenant }) => self.with_tenant_mut(tenant, |t| {
+            Request::AdvanceInterval(TenantRef { tenant }) => self.with_drained(tenant, |t| {
                 let sealed_interval = t.slot.advance_interval();
                 t.admitted_in_interval = 0;
                 Response::Sealed(SealReceipt {
@@ -550,14 +635,14 @@ impl Fabric {
                     shard: self.assignments[&tenant],
                     applied: t.slot.applied(),
                     mass: t.slot.mass(),
-                    pending: t.slot.pending(),
+                    pending: t.pending,
                     admitted_in_interval: t.admitted_in_interval,
                     interval: t.slot.interval(),
                 }),
             },
             Request::Export(TenantRef { tenant }) => {
                 let params = self.config.params.clone();
-                self.with_tenant_mut(tenant, |t| {
+                self.with_drained(tenant, |t| {
                     match t.slot.export(t.spec, params.with_seed(t.spec.seed)) {
                         Ok(transfer) => Response::Exported(transfer),
                         Err(e) => Response::Error(e),
@@ -582,59 +667,66 @@ impl Fabric {
     }
 
     /// Admission control, checked in policy order: an item outside the
-    /// tenant's universe or a non-finite delta first (`bad_ingest` — a
-    /// range-sum flush cannot place such an item, a frequency plane
-    /// would count it against colliding in-universe items, and NaN or
-    /// ±inf would poison its cells for good, which JSON cannot even
-    /// carry through a transfer), then the interval quota (Shed —
-    /// retry next interval), then the queue bound (Busy — retry after
-    /// a flush). A rejected batch admits **nothing**.
+    /// tenant's universe, a non-finite delta, or one beyond
+    /// ±[`MAX_ABS_DELTA`] first (`bad_ingest` — a range-sum flush cannot
+    /// place such an item, a frequency plane would count it against
+    /// colliding in-universe items, and a cell at NaN or ±inf stays
+    /// poisoned for good, which JSON cannot even carry through a
+    /// transfer), then the interval quota (Shed — retry next interval),
+    /// then the queue bound (Busy — retry after a flush). A rejected
+    /// batch admits **nothing**; an admitted one moves onto the
+    /// tenant's queue as it is.
     fn ingest(&mut self, frame: IngestFrame) -> Response {
         let tenant = frame.tenant;
         let k = frame.updates.len() as u64;
-        self.with_tenant_mut(tenant, |t| {
-            let universe = t.slot.universe();
-            if let Some(&(item, delta)) = frame
-                .updates
-                .iter()
-                .find(|&&(item, d)| item >= universe || !d.is_finite())
-            {
-                let detail = match check_item(tenant, item, universe) {
-                    Err(e) => e.detail,
-                    Ok(()) => format!("tenant {tenant}: item {item} has non-finite delta {delta}"),
-                };
-                return Response::Error(ErrorReply::new("bad_ingest", detail));
-            }
-            if t.admitted_in_interval.saturating_add(k) > t.spec.interval_quota {
-                return Response::Shed(ShedReceipt {
-                    tenant,
-                    admitted: t.admitted_in_interval,
-                    quota: t.spec.interval_quota,
-                });
-            }
-            let pending = t.slot.pending();
-            if pending.saturating_add(k) > t.spec.queue_capacity {
-                return Response::Busy(BusyReceipt {
-                    tenant,
-                    pending,
-                    capacity: t.spec.queue_capacity,
-                });
-            }
-            t.slot.extend_from_slice(&frame.updates);
-            t.admitted_in_interval += k;
-            Response::Admitted(AdmitReceipt {
+        let t = match self.tenant_mut(tenant) {
+            Ok(t) => t,
+            Err(e) => return Response::Error(e),
+        };
+        let universe = t.slot.universe();
+        if let Some(&(item, delta)) = frame
+            .updates
+            .iter()
+            .find(|&&(item, d)| item >= universe || !d.is_finite() || d.abs() > MAX_ABS_DELTA)
+        {
+            let detail = match check_item(tenant, item, universe) {
+                Err(e) => e.detail,
+                Ok(()) if !delta.is_finite() => {
+                    format!("tenant {tenant}: item {item} has non-finite delta {delta}")
+                }
+                Ok(()) => {
+                    format!("tenant {tenant}: item {item} has delta {delta} beyond ±2^53")
+                }
+            };
+            return Response::Error(ErrorReply::new("bad_ingest", detail));
+        }
+        if t.admitted_in_interval.saturating_add(k) > t.spec.interval_quota {
+            return Response::Shed(ShedReceipt {
                 tenant,
-                pending: t.slot.pending(),
-            })
-        })
+                admitted: t.admitted_in_interval,
+                quota: t.spec.interval_quota,
+            });
+        }
+        if t.pending.saturating_add(k) > t.spec.queue_capacity {
+            return Response::Busy(BusyReceipt {
+                tenant,
+                pending: t.pending,
+                capacity: t.spec.queue_capacity,
+            });
+        }
+        t.admitted_in_interval += k;
+        t.pending += k;
+        if k > 0 {
+            t.queue.push_back(frame.updates);
+        }
+        let pending = t.pending;
+        self.queued += k;
+        self.peak_queued = self.peak_queued.max(self.queued);
+        Response::Admitted(AdmitReceipt { tenant, pending })
     }
 
-    fn with_tenant_mut(
-        &mut self,
-        tenant: u64,
-        f: impl FnOnce(&mut Tenant) -> Response,
-    ) -> Response {
-        match self.tenant_mut(tenant) {
+    fn with_drained(&mut self, tenant: u64, f: impl FnOnce(&mut Tenant) -> Response) -> Response {
+        match self.drained_mut(tenant) {
             Ok(t) => f(t),
             Err(e) => Response::Error(e),
         }

@@ -23,7 +23,9 @@
 //!   quota gets [`Response::Shed`] (retry next interval). A rejected
 //!   batch admits nothing, and one tenant's saturation never touches
 //!   its neighbors' answers — the isolation the conformance suite
-//!   pins down.
+//!   pins down. Admitted frames queue per tenant and are applied at the
+//!   next flush — or, in the [`Daemon`], by its one writer thread,
+//!   outside the fabric lock.
 //! * **Rebalance by linearity** — moving a tenant ships only its
 //!   counter planes through the wire format (metered on a
 //!   [`CommMeter`](bas_distributed::CommMeter)); the destination
@@ -51,7 +53,7 @@ pub mod wire;
 pub use connection::{
     call, call_with_retry, serve_connection, Client, IngestBatcher, RetryError, RetryPolicy,
 };
-pub use fabric::{Fabric, FabricConfig, FabricError, RebalanceReport, TenantMove};
+pub use fabric::{Fabric, FabricConfig, FabricError, RebalanceReport, TenantMove, MAX_ABS_DELTA};
 pub use listener::{
     ConnectionError, Daemon, DaemonConfig, Deadlines, SharedFabric, ShutdownReport,
 };

@@ -7,17 +7,19 @@
 //! * **Transports** — [`Daemon::bind_tcp`] and [`Daemon::bind_unix`]
 //!   accept on TCP or unix-domain sockets through the same loop
 //!   ([`AnyListener`]/[`AnyStream`]).
-//! * **Thread model** — one accept thread plus one thread per
-//!   connection, all dispatching into a [`SharedFabric`]: a single
-//!   `Mutex<Fabric>` held **only for the in-memory dispatch of one
+//! * **Thread model** — one accept thread, one thread per connection,
+//!   and one writer thread, all dispatching into a [`SharedFabric`]: a
+//!   single fabric mutex held **only for the in-memory dispatch of one
 //!   request** — never across socket reads or writes. Contention is
-//!   therefore bounded by per-request CPU (buffer append for ingest,
-//!   `O(depth · width)` for the heaviest snapshot queries), not by
-//!   client latency; a slow or stalled peer holds no lock. Each
-//!   tenant's engine still fans ingest across its own worker shards
-//!   internally, so the global lock serializes only the fabric's
-//!   control plane, exactly as `Fabric::handle`'s single-threaded
-//!   contract requires.
+//!   therefore bounded by per-request CPU (moving a frame onto a queue
+//!   for ingest, `O(depth · width)` for the heaviest snapshot queries),
+//!   not by client latency; a slow or stalled peer holds no lock.
+//! * **Write-behind** — the writer applies admitted ingest frames to
+//!   their tenant's live plane in admission order, one frame at a time
+//!   and **outside** the lock, while connection threads go back to
+//!   their sockets. A request for a tenant whose frame is in flight
+//!   waits for it on a condition variable (lock released); the wait
+//!   rule and the lock order are on [`SharedFabric`].
 //! * **Deadlines** — each connection carries read/write/idle
 //!   [`Deadlines`]. *Idle* bounds the quiet gap **between** frames;
 //!   *read*/*write* bound the per-syscall progress gap **inside** a
@@ -26,8 +28,9 @@
 //!   connection drops.
 //! * **Graceful shutdown** — [`Daemon::shutdown`] stops accepting,
 //!   lets every in-flight frame finish (connections notice the flag at
-//!   their next between-frames poll), seals each tenant's open
-//!   interval via [`Fabric::quiesce`], journals the advances and a
+//!   their next between-frames poll), lets the writer apply what was
+//!   queued for it and joins it, seals each tenant's open interval via
+//!   [`Fabric::quiesce`], journals the advances and a
 //!   compacted checkpoint when persistence is attached, and joins all
 //!   threads before returning.
 //!
@@ -36,15 +39,17 @@
 //! restart, [`recover`](crate::persist::recover) rebuilds the tenant
 //! topology from the journal and the daemon resumes serving.
 
+use crate::engine::LivePlane;
 use crate::fabric::Fabric;
 use crate::persist::{Journal, JournalRecord};
 use crate::wire::{self, Request, Response, TenantRef, WireError};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -214,7 +219,8 @@ impl From<WireError> for ConnectionError {
     }
 }
 
-/// The fabric behind a mutex, shareable across connection threads.
+/// The fabric behind a mutex, shareable across connection threads and
+/// the daemon's writer.
 ///
 /// The lock is held only for [`Fabric::handle`]'s in-memory dispatch —
 /// frames are read and written **outside** the critical section, so no
@@ -223,30 +229,216 @@ impl From<WireError> for ConnectionError {
 /// panic-free by construction (every failure is a typed
 /// `Response::Error`, see [`FabricError`](crate::fabric::FabricError)),
 /// so the state under a poison marker is still consistent.
+///
+/// **Write-behind.** A daemon attaches one writer thread. Each admitted
+/// `Ingest` frame queues its tenant for the writer, in admission order;
+/// one writer round takes the tenant's oldest frame and a clone of its
+/// live plane under the lock and marks the tenant *in flight*, applies
+/// the frame in one epoch write section **outside** the lock, then
+/// clears the mark under the lock and wakes waiters. At most one frame
+/// is in flight, so each tenant's frames land in admission order and
+/// the plane is bit for bit what synchronous dispatch builds.
+///
+/// **Waiting releases the lock.** A request that reads or drains a
+/// tenant's plane must not overlap that tenant's in-flight frame:
+/// [`handle`](Self::handle) waits on a condition variable — which
+/// releases the lock — while the request's tenant is in flight, for
+/// every request except `Ingest` admission, `Ping` and `Register`;
+/// [`with`](Self::with) waits until nothing is in flight. While any
+/// request waits, the writer takes no new frame, so waiters cannot
+/// starve. Lock order: the journal lock (held by compaction and
+/// shutdown) before the fabric lock; the writer takes only the fabric
+/// lock and never waits while holding it.
+///
+/// Without a writer (a bare [`SharedFabric::new`]) admitted frames stay
+/// queued until a request drains them, exactly as in [`Fabric`].
 #[derive(Debug, Clone)]
-pub struct SharedFabric(Arc<Mutex<Fabric>>);
+pub struct SharedFabric(Arc<Shared>);
+
+#[derive(Debug)]
+struct Shared {
+    state: Mutex<State>,
+    /// Signalled when an in-flight frame lands.
+    settled: Condvar,
+    /// Signalled when the writer may have work: a frame admitted, the
+    /// last waiter served, or shutdown.
+    work: Condvar,
+}
+
+#[derive(Debug)]
+struct State {
+    fabric: Fabric,
+    /// Whether a writer thread applies admitted frames.
+    writer: bool,
+    /// One entry per admitted frame, in admission order: the tenant
+    /// whose oldest queued frame the writer takes next. An entry whose
+    /// frame a drain already applied is skipped.
+    ready: VecDeque<u64>,
+    /// The tenant whose frame the writer is applying.
+    in_flight: Option<u64>,
+    /// Requests waiting for the in-flight frame to land.
+    waiting: usize,
+    /// Set at shutdown: the writer exits once the ready queue is empty.
+    stop: bool,
+    /// Frames the writer applied.
+    frames_applied: u64,
+    /// Requests that waited for an in-flight frame.
+    waits: u64,
+}
 
 impl SharedFabric {
     /// Wraps a fabric for shared dispatch.
     pub fn new(fabric: Fabric) -> Self {
-        Self(Arc::new(Mutex::new(fabric)))
+        Self(Arc::new(Shared {
+            state: Mutex::new(State {
+                fabric,
+                writer: false,
+                ready: VecDeque::new(),
+                in_flight: None,
+                waiting: 0,
+                stop: false,
+                frames_applied: 0,
+                waits: 0,
+            }),
+            settled: Condvar::new(),
+            work: Condvar::new(),
+        }))
     }
 
-    /// Runs `f` under the fabric lock.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.0.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes the lock once `busy` no longer holds, waiting (lock
+    /// released) while it does.
+    fn lock_settled(&self, busy: impl Fn(&State) -> bool) -> MutexGuard<'_, State> {
+        let mut state = self.lock();
+        if busy(&state) {
+            state.waiting += 1;
+            state.waits += 1;
+            state = self
+                .0
+                .settled
+                .wait_while(state, |s| busy(s))
+                .unwrap_or_else(PoisonError::into_inner);
+            state.waiting -= 1;
+            if state.waiting == 0 {
+                self.0.work.notify_one();
+            }
+        }
+        state
+    }
+
+    /// Runs `f` under the fabric lock, once no frame is in flight.
     pub fn with<T>(&self, f: impl FnOnce(&mut Fabric) -> T) -> T {
-        let mut guard = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&mut guard)
+        let mut state = self.lock_settled(|s| s.in_flight.is_some());
+        f(&mut state.fabric)
     }
 
-    /// Dispatches one request under the lock.
+    /// Dispatches one request under the lock (see the type docs for
+    /// when it waits first).
     pub fn handle(&self, req: Request) -> Response {
-        self.with(|fabric| fabric.handle(req))
+        let waits_on = match &req {
+            Request::Ping | Request::Register(_) | Request::Ingest(_) => None,
+            Request::Flush(r) | Request::AdvanceInterval(r) | Request::Stats(r) => Some(r.tenant),
+            Request::Export(r) => Some(r.tenant),
+            Request::Point(q) | Request::WindowPoint(q) => Some(q.tenant),
+            Request::HeavyHitters(q) | Request::WindowHeavyHitters(q) => Some(q.tenant),
+            Request::RangeSum(q) | Request::WindowRangeSum(q) => Some(q.tenant),
+            Request::Install(transfer) => Some(transfer.spec.tenant),
+        };
+        let queues = match &req {
+            Request::Ingest(frame) if !frame.updates.is_empty() => Some(frame.tenant),
+            _ => None,
+        };
+        let mut state = match waits_on {
+            Some(tenant) => self.lock_settled(|s| s.in_flight == Some(tenant)),
+            None => self.lock(),
+        };
+        let resp = state.fabric.handle(req);
+        if let Some(tenant) = queues {
+            if state.writer && matches!(resp, Response::Admitted(_)) {
+                state.ready.push_back(tenant);
+                drop(state);
+                self.0.work.notify_one();
+            }
+        }
+        resp
+    }
+
+    /// Spawns the writer thread; it runs until [`stop_writer`](Self::stop_writer).
+    fn spawn_writer(&self) -> JoinHandle<()> {
+        self.lock().writer = true;
+        let shared = self.clone();
+        thread::spawn(move || shared.run_writer())
+    }
+
+    /// The writer loop: one round per admitted frame.
+    fn run_writer(&self) {
+        while let Some((frame, plane)) = self.next_frame() {
+            plane.apply(&frame);
+            let updates = frame.len() as u64;
+            drop((frame, plane));
+            let mut state = self.lock();
+            let tenant = state
+                .in_flight
+                .take()
+                .expect("the writer's frame is in flight");
+            state.fabric.finish_frame(tenant, updates);
+            state.frames_applied += 1;
+            let waiters = state.waiting > 0;
+            drop(state);
+            if waiters {
+                self.0.settled.notify_all();
+            }
+        }
+    }
+
+    /// Takes the oldest admitted frame still queued and marks its tenant
+    /// in flight; waits while requests wait or nothing is ready. `None`
+    /// once stopped with nothing left.
+    fn next_frame(&self) -> Option<(Vec<(u64, f64)>, LivePlane)> {
+        let mut state = self.lock();
+        loop {
+            if state.waiting == 0 {
+                while let Some(tenant) = state.ready.pop_front() {
+                    if let Some(job) = state.fabric.take_frame(tenant) {
+                        state.in_flight = Some(tenant);
+                        return Some(job);
+                    }
+                }
+                if state.stop {
+                    return None;
+                }
+            }
+            state = self
+                .0
+                .work
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Tells the writer to apply what is queued for it and exit.
+    fn stop_writer(&self) {
+        self.lock().stop = true;
+        self.0.work.notify_all();
+    }
+
+    /// `(frames the writer applied, requests that waited)`.
+    fn writer_counts(&self) -> (u64, u64) {
+        let state = self.lock();
+        (state.frames_applied, state.waits)
     }
 
     /// Unwraps the fabric if no other handle is alive.
     pub fn try_into_inner(self) -> Result<Fabric, Self> {
         match Arc::try_unwrap(self.0) {
-            Ok(mutex) => Ok(mutex.into_inner().unwrap_or_else(PoisonError::into_inner)),
+            Ok(shared) => Ok(shared
+                .state
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .fabric),
             Err(arc) => Err(Self(arc)),
         }
     }
@@ -261,6 +453,8 @@ struct Service {
     journal: Option<Mutex<Journal>>,
     compact_after_records: Option<u64>,
     compact_after_bytes: Option<u64>,
+    /// Journal appends and compactions that failed while serving.
+    journal_failures: AtomicU64,
 }
 
 impl Service {
@@ -284,9 +478,9 @@ impl Service {
             if acknowledged {
                 let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
                 // Journal I/O failure must not corrupt the serving
-                // path; the daemon keeps answering and the operator
-                // sees the failure at shutdown/compaction.
-                let _ = journal.append(&record);
+                // path; the daemon keeps answering and counts the
+                // failure for the shutdown report.
+                let mut failed = journal.append(&record).is_err();
                 let over_records = self
                     .compact_after_records
                     .is_some_and(|limit| journal.records() >= limit);
@@ -294,7 +488,10 @@ impl Service {
                     .compact_after_bytes
                     .is_some_and(|limit| journal.bytes() >= limit);
                 if over_records || over_bytes {
-                    let _ = self.fabric.with(|f| journal.compact(f));
+                    failed |= self.fabric.with(|f| journal.compact(f)).is_err();
+                }
+                if failed {
+                    self.journal_failures.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -550,11 +747,24 @@ pub struct ShutdownReport {
     pub frames: u64,
     /// `(tenant, sealed_interval)` pairs from the quiesce step.
     pub sealed: Vec<(u64, u64)>,
+    /// Ingest frames the writer thread applied.
+    pub frames_applied: u64,
+    /// The most updates admitted and not yet applied at once, across
+    /// all tenants ([`Fabric::peak_queued`]).
+    pub peak_queued: u64,
+    /// Requests that waited for their tenant's in-flight frame (or, for
+    /// journal compaction, for any in-flight frame) to land.
+    pub waits: u64,
+    /// Requests whose journal append or triggered compaction failed
+    /// while serving; their effects were acknowledged but may not be
+    /// durable.
+    pub journal_failures: u64,
     /// The recovered fabric, for in-process reuse after shutdown.
     pub fabric: Fabric,
 }
 
-/// A running daemon: accept thread + one thread per connection.
+/// A running daemon: accept thread, one thread per connection, and one
+/// writer thread that applies admitted frames (see [`SharedFabric`]).
 #[derive(Debug)]
 pub struct Daemon {
     fabric: SharedFabric,
@@ -563,6 +773,7 @@ pub struct Daemon {
     frames: Arc<AtomicU64>,
     connections: Arc<AtomicU64>,
     accept: Option<JoinHandle<()>>,
+    writer: Option<JoinHandle<()>>,
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     local_addr: Option<SocketAddr>,
 }
@@ -610,7 +821,9 @@ impl Daemon {
             journal: journal.map(Mutex::new),
             compact_after_records: config.compact_after_records,
             compact_after_bytes: config.compact_after_bytes,
+            journal_failures: AtomicU64::new(0),
         });
+        let writer = fabric.spawn_writer();
         let shutdown = Arc::new(AtomicBool::new(false));
         let frames = Arc::new(AtomicU64::new(0));
         let connections = Arc::new(AtomicU64::new(0));
@@ -667,6 +880,7 @@ impl Daemon {
             frames,
             connections,
             accept: Some(accept),
+            writer: Some(writer),
             workers,
             local_addr,
         })
@@ -683,9 +897,10 @@ impl Daemon {
     }
 
     /// Graceful shutdown: stop accepting, let in-flight frames finish,
-    /// seal every tenant's open interval, journal the advances plus a
-    /// compacted checkpoint (when persistence is attached), and join
-    /// every thread.
+    /// let the writer apply what it was handed and join it, seal every
+    /// tenant's open interval (applying anything still queued), journal
+    /// the advances plus a compacted checkpoint (when persistence is
+    /// attached), and join every thread.
     pub fn shutdown(mut self) -> io::Result<ShutdownReport> {
         self.shutdown.store(true, Ordering::Release);
         if let Some(accept) = self.accept.take() {
@@ -704,8 +919,18 @@ impl Daemon {
             }
         }
 
-        // Every connection is drained: seal open intervals, journal
-        // the advances, and write the compacted durable snapshot.
+        // Every connection is drained: drain and join the writer, seal
+        // open intervals, journal the advances, and write the compacted
+        // durable snapshot.
+        if let Some(writer) = self.writer.take() {
+            self.fabric.stop_writer();
+            // A writer that died mid-frame leaves its tenant in flight,
+            // and the quiesce below would wait for it forever.
+            writer
+                .join()
+                .map_err(|_| io::Error::other("the ingest writer thread panicked"))?;
+        }
+        let (frames_applied, waits) = self.fabric.writer_counts();
         let sealed = self.fabric.with(|f| f.quiesce());
         if let Some(journal) = &self.service.journal {
             let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
@@ -717,6 +942,7 @@ impl Daemon {
 
         let connections = self.connections.load(Ordering::Relaxed);
         let frames = self.frames.load(Ordering::Relaxed);
+        let journal_failures = self.service.journal_failures.load(Ordering::Relaxed);
         // All threads are joined, so the only remaining service (and
         // through it, fabric) clone is ours; unwrap the fabric for
         // in-process reuse.
@@ -728,6 +954,10 @@ impl Daemon {
             connections,
             frames,
             sealed,
+            frames_applied,
+            peak_queued: fabric.peak_queued(),
+            waits,
+            journal_failures,
             fabric,
         })
     }

@@ -27,7 +27,7 @@
 //!   of `Ingest` the serde derive produces still decodes. Deltas travel
 //!   as raw bits: NaN payloads, `±0`, `±inf` and subnormals arrive
 //!   exactly as sent, and admission (not the codec) rejects the
-//!   non-finite ones.
+//!   non-finite ones and those beyond ±2^53.
 //!
 //! The framing layer owns desync-avoidance **and** resource bounds
 //! against hostile peers:
@@ -495,7 +495,8 @@ pub struct TenantSpec {
     pub metric: MetricKind,
     /// History scope.
     pub mode: ServingMode,
-    /// Bound on buffered-but-unflushed updates; ingest beyond it gets
+    /// Bound on admitted-but-unapplied updates (queued, or in flight
+    /// on the daemon's writer); ingest beyond it gets
     /// [`Response::Busy`] until a flush drains the backlog. Must be
     /// ≥ 1.
     pub queue_capacity: u64,
@@ -601,7 +602,7 @@ pub struct SealFrame {
 pub enum Response {
     /// Reply to [`Request::Ping`].
     Pong,
-    /// The ingest batch was admitted and buffered.
+    /// The ingest batch was admitted and queued.
     Admitted(AdmitReceipt),
     /// **Backpressure**: the batch would overflow the tenant's ingest
     /// queue. Nothing was admitted; flush (or wait for the server to)
@@ -635,7 +636,8 @@ pub enum Response {
 pub struct AdmitReceipt {
     /// Tenant id.
     pub tenant: u64,
-    /// Updates now buffered (≤ the tenant's queue capacity).
+    /// Updates admitted and not yet applied (≤ the tenant's queue
+    /// capacity).
     pub pending: u64,
 }
 
@@ -644,7 +646,7 @@ pub struct AdmitReceipt {
 pub struct BusyReceipt {
     /// Tenant id.
     pub tenant: u64,
-    /// Updates currently buffered.
+    /// Updates admitted and not yet applied.
     pub pending: u64,
     /// The tenant's queue bound.
     pub capacity: u64,
@@ -709,7 +711,8 @@ pub struct StatsReply {
     pub applied: u64,
     /// Total delta mass applied.
     pub mass: f64,
-    /// Updates buffered but not yet flushed.
+    /// Updates admitted but not yet applied: queued, or in flight on
+    /// the daemon's writer.
     pub pending: u64,
     /// Updates admitted in the current interval (quota bookkeeping).
     pub admitted_in_interval: u64,

@@ -11,9 +11,9 @@
 use bias_aware_sketches::prelude::*;
 use bias_aware_sketches::server::wire::{IngestFrame, PointQuery, RangeQuery, TenantRef};
 use bias_aware_sketches::server::{
-    read_frame, recover, write_frame, Client, Daemon, DaemonConfig, Deadlines, Fabric,
-    FabricConfig, IngestBatcher, Journal, Request, Response, RetryPolicy, TenantSpec,
-    MAX_FRAME_BYTES,
+    read_frame, recover, serve_connection, write_frame, Client, Daemon, DaemonConfig, Deadlines,
+    Fabric, FabricConfig, IngestBatcher, Journal, Request, Response, RetryPolicy, ServingMode,
+    TenantSpec, WindowLen, MAX_FRAME_BYTES,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -644,4 +644,383 @@ fn journal_compacts_at_the_record_threshold_while_serving() {
     daemon.shutdown().unwrap();
     std::fs::remove_file(&journal_path).ok();
     std::fs::remove_file(&copy).ok();
+}
+
+/// Tenant mix for the write-behind races: an unbounded frequency
+/// tenant, an unbounded range-sum tenant, a sliding-window tenant and a
+/// rotating tenant, so every engine shape runs through the writer.
+fn race_specs() -> Vec<TenantSpec> {
+    vec![
+        TenantSpec::frequency(1, 11),
+        TenantSpec::range_sum(2, 22),
+        TenantSpec::frequency(3, 33).with_mode(ServingMode::Sliding(WindowLen { intervals: 3 })),
+        TenantSpec::frequency(4, 44).with_mode(ServingMode::Rotating(WindowLen { intervals: 2 })),
+    ]
+}
+
+/// The ingest side of a race: `rounds` frames per tenant, round robin,
+/// each of a length that varies per frame.
+fn race_frames(rounds: u64) -> Vec<(u64, Vec<(u64, f64)>)> {
+    (0..rounds)
+        .flat_map(|round| {
+            race_specs().into_iter().map(move |spec| {
+                let tenant = spec.tenant;
+                let len = 200 + ((round * 37 + tenant * 11) % 300) as usize;
+                (tenant, stream(tenant * 1_000 + round, len))
+            })
+        })
+        .collect()
+}
+
+/// Streams `frames` over one connection; every frame must be admitted.
+fn stream_frames(addr: std::net::SocketAddr, frames: &[(u64, Vec<(u64, f64)>)]) {
+    let mut client = tcp_client(addr);
+    for (tenant, updates) in frames {
+        let resp = client
+            .call(&Request::Ingest(IngestFrame {
+                tenant: *tenant,
+                updates: updates.clone(),
+            }))
+            .unwrap();
+        assert!(matches!(resp, Response::Admitted(_)), "{resp:?}");
+    }
+}
+
+/// Whether `applied` ends a frame of `tenant` in `frames`: answers must
+/// come from flush-boundary prefixes of the admitted stream.
+fn on_frame_boundary(frames: &[(u64, Vec<(u64, f64)>)], tenant: u64, applied: u64) -> bool {
+    let mut sum = 0u64;
+    applied == 0
+        || frames
+            .iter()
+            .filter(|(t, _)| *t == tenant)
+            .any(|(_, updates)| {
+                sum += updates.len() as u64;
+                sum == applied
+            })
+}
+
+/// An in-process fabric with the race tenants, fed `frames` in order.
+fn race_twin(frames: &[(u64, Vec<(u64, f64)>)]) -> Fabric {
+    let mut twin = Fabric::new(config());
+    twin.add_shard(0, 1.0).unwrap();
+    for spec in race_specs() {
+        twin.register_tenant(spec).unwrap();
+    }
+    for (tenant, updates) in frames {
+        twin.handle(Request::Ingest(IngestFrame {
+            tenant: *tenant,
+            updates: updates.clone(),
+        }));
+    }
+    twin
+}
+
+/// Write-behind under fire: one connection streams frames to four
+/// tenants while another races `Point`, `WindowPoint`, `Stats`,
+/// `Export` and `AdvanceInterval` (whose journal records trigger
+/// threshold compactions, each of which exports every tenant) against
+/// the writer. Every `Stats` and `Export` it sees sits on a frame
+/// boundary, and for the never-advanced unbounded tenant
+/// `applied + pending = admitted`. After a final `Flush` every tenant
+/// answers bit for bit like an in-process twin fed the same frames, and
+/// a copy of the journal taken mid-run recovers each checkpointed
+/// tenant bit for bit as the twin of its checkpointed prefix.
+#[test]
+fn write_behind_races_keep_every_tenant_bit_for_bit() {
+    let journal_path =
+        std::env::temp_dir().join(format!("bas-daemon-race-{}.jsonl", std::process::id()));
+    let copy = journal_path.with_extension("copy.jsonl");
+    let _ = std::fs::remove_file(&journal_path);
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    let daemon = Daemon::bind_tcp(
+        "127.0.0.1:0",
+        fabric,
+        Some(Journal::open(&journal_path).unwrap()),
+        daemon_config().with_compact_after_records(Some(3)),
+    )
+    .unwrap();
+    let addr = daemon.local_addr().unwrap();
+    let mut client = tcp_client(addr);
+    for spec in race_specs() {
+        let resp = client.call(&Request::Register(spec)).unwrap();
+        assert!(matches!(resp, Response::Installed(_)), "{resp:?}");
+    }
+
+    let frames = race_frames(60);
+    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let writer = {
+        let (frames, done) = (frames.clone(), done.clone());
+        std::thread::spawn(move || {
+            stream_frames(addr, &frames);
+            done.store(true, std::sync::atomic::Ordering::Release);
+        })
+    };
+    let mut advances = 0u64;
+    let mut copied = false;
+    let mut round = 0u64;
+    while !done.load(std::sync::atomic::Ordering::Acquire) || round < 8 {
+        let item = (round * 131) % N;
+        for tenant in 1..=4u64 {
+            match client.call(&Request::Stats(TenantRef { tenant })).unwrap() {
+                Response::Stats(s) => {
+                    assert!(on_frame_boundary(&frames, tenant, s.applied), "{s:?}");
+                    if tenant == 1 {
+                        assert_eq!(s.applied + s.pending, s.admitted_in_interval, "{s:?}");
+                    }
+                }
+                other => panic!("{other:?}"),
+            }
+            expect_value(
+                client
+                    .call(&Request::Point(PointQuery { tenant, item }))
+                    .unwrap(),
+            );
+        }
+        expect_value(
+            client
+                .call(&Request::WindowPoint(PointQuery { tenant: 3, item }))
+                .unwrap(),
+        );
+        match client
+            .call(&Request::Export(TenantRef { tenant: 3 }))
+            .unwrap()
+        {
+            Response::Exported(t) => assert!(on_frame_boundary(&frames, 3, t.applied)),
+            other => panic!("{other:?}"),
+        }
+        let resp = client
+            .call(&Request::AdvanceInterval(TenantRef { tenant: 2 }))
+            .unwrap();
+        assert!(matches!(resp, Response::Sealed(_)), "{resp:?}");
+        advances += 1;
+        if advances == 7 && !done.load(std::sync::atomic::Ordering::Acquire) {
+            // Journaled requests come only from this connection, so
+            // between calls the file is a finished compaction plus a
+            // tail: exactly what a crash here would leave.
+            std::fs::copy(&journal_path, &copy).unwrap();
+            copied = true;
+        }
+        round += 1;
+    }
+    writer.join().unwrap();
+
+    let mut twin = race_twin(&frames);
+    for _ in 0..advances {
+        twin.handle(Request::AdvanceInterval(TenantRef { tenant: 2 }));
+    }
+    for tenant in 1..=4u64 {
+        for req in [
+            Request::Flush(TenantRef { tenant }),
+            Request::AdvanceInterval(TenantRef { tenant }),
+        ] {
+            assert_eq!(client.call(&req).unwrap(), twin.handle(req));
+        }
+        assert_eq!(
+            observe(|r| client.call(&r).unwrap(), tenant),
+            observe(|r| twin.handle(r), tenant),
+            "tenant {tenant}"
+        );
+        let window = Request::WindowPoint(PointQuery { tenant, item: 5 });
+        assert_eq!(client.call(&window).unwrap(), twin.handle(window));
+    }
+
+    if copied {
+        let mut recovered = recover(&copy, config()).unwrap();
+        for tenant in [1u64, 2, 3] {
+            let applied = match recovered.handle(Request::Stats(TenantRef { tenant })) {
+                Response::Stats(s) => s.applied,
+                other => panic!("{other:?}"),
+            };
+            assert!(
+                on_frame_boundary(&frames, tenant, applied),
+                "tenant {tenant}"
+            );
+            // The twin of the checkpoint: the tenant's frames up to it.
+            let mut left = applied;
+            let prefix: Vec<_> = frames
+                .iter()
+                .filter(|(t, updates)| {
+                    let take = *t == tenant && left > 0;
+                    if take {
+                        left -= updates.len() as u64;
+                    }
+                    take
+                })
+                .cloned()
+                .collect();
+            let mut twin = race_twin(&prefix);
+            twin.handle(Request::Flush(TenantRef { tenant }));
+            for item in (0..N).step_by(61) {
+                let req = Request::Point(PointQuery { tenant, item });
+                assert_eq!(
+                    recovered.handle(req.clone()),
+                    twin.handle(req),
+                    "tenant {tenant}"
+                );
+            }
+        }
+        assert!(recovered.tenant_spec(4).is_some());
+    }
+    drop(client);
+    let report = daemon.shutdown().unwrap();
+    assert_eq!(report.journal_failures, 0);
+    assert!(report.frames_applied <= frames.len() as u64);
+    assert!(report.peak_queued > 0);
+    std::fs::remove_file(&journal_path).ok();
+    std::fs::remove_file(&copy).ok();
+}
+
+/// `Stats` never splits an in-flight frame: while one connection
+/// streams frames to an unbounded tenant, every `Stats` read on another
+/// satisfies `applied + pending = admitted`, with `applied` on a frame
+/// boundary; and the writer applies the frames without any `Flush`.
+#[test]
+fn stats_reads_see_applied_plus_pending_equal_admitted() {
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    fabric
+        .register_tenant(TenantSpec::frequency(1, 11))
+        .unwrap();
+    let daemon = Daemon::bind_tcp("127.0.0.1:0", fabric, None, daemon_config()).unwrap();
+    let addr = daemon.local_addr().unwrap();
+    let frames: Vec<_> = (0..200u64)
+        .map(|i| (1u64, stream(i, 300 + (i as usize * 7) % 200)))
+        .collect();
+    let total: u64 = frames.iter().map(|(_, u)| u.len() as u64).sum();
+    let writer = {
+        let frames = frames.clone();
+        std::thread::spawn(move || stream_frames(addr, &frames))
+    };
+    let mut client = tcp_client(addr);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let s = match client
+            .call(&Request::Stats(TenantRef { tenant: 1 }))
+            .unwrap()
+        {
+            Response::Stats(s) => s,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(s.applied + s.pending, s.admitted_in_interval, "{s:?}");
+        assert!(on_frame_boundary(&frames, 1, s.applied), "{s:?}");
+        if s.applied == total {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the writer never applied everything: {s:?}"
+        );
+    }
+    writer.join().unwrap();
+    drop(client);
+    let report = daemon.shutdown().unwrap();
+    assert_eq!(report.frames_applied, frames.len() as u64);
+    assert_eq!(report.journal_failures, 0);
+}
+
+/// An in-memory client stream served by [`serve_connection`] against an
+/// in-process fabric: each `flush` answers the frames written so far,
+/// counting the `Busy` answers among them.
+struct InProcessStream {
+    fabric: std::rc::Rc<std::cell::RefCell<Fabric>>,
+    requests: Vec<u8>,
+    responses: std::collections::VecDeque<u8>,
+    busy: std::rc::Rc<std::cell::Cell<u64>>,
+}
+
+impl Write for InProcessStream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.requests.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let mut out = Vec::new();
+        serve_connection(
+            &mut self.fabric.borrow_mut(),
+            &mut &self.requests[..],
+            &mut out,
+            MAX_FRAME_BYTES,
+        )
+        .map_err(std::io::Error::other)?;
+        self.requests.clear();
+        let mut answers = &out[..];
+        while let Some(resp) = read_frame::<_, Response>(&mut answers, MAX_FRAME_BYTES).unwrap() {
+            if matches!(resp, Response::Busy(_)) {
+                self.busy.set(self.busy.get() + 1);
+            }
+        }
+        self.responses.extend(out);
+        Ok(())
+    }
+}
+
+impl Read for InProcessStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.responses.read(buf)
+    }
+}
+
+/// The [`IngestBatcher`]'s `Busy → Flush → resend` path, driven
+/// deterministically: over `serve_connection` against an in-process
+/// fabric (which has no writer, so admitted frames stay queued until a
+/// flush), a 1 000-update queue under 640-update batches answers `Busy`
+/// to every second batch. The batcher absorbs each one, every update
+/// lands, and the sketch is bit for bit the same stream fed through an
+/// open queue.
+#[test]
+fn ingest_batcher_absorbs_busy_by_flushing_and_resending() {
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    fabric
+        .register_tenant(TenantSpec::frequency(8, 88).with_queue_capacity(1_000))
+        .unwrap();
+    let fabric = std::rc::Rc::new(std::cell::RefCell::new(fabric));
+    let busy = std::rc::Rc::new(std::cell::Cell::new(0u64));
+    let mut client = {
+        let (fabric, busy) = (fabric.clone(), busy.clone());
+        Client::new(
+            move || {
+                Ok(InProcessStream {
+                    fabric: fabric.clone(),
+                    requests: Vec::new(),
+                    responses: std::collections::VecDeque::new(),
+                    busy: busy.clone(),
+                })
+            },
+            RetryPolicy::new(),
+            MAX_FRAME_BYTES,
+        )
+    };
+    let updates = stream(8, 10_000);
+    let mut batcher = IngestBatcher::new(8, 640);
+    for chunk in updates.chunks(97) {
+        for resp in batcher.extend(&mut client, chunk).unwrap() {
+            assert!(matches!(resp, Response::Admitted(_)), "{resp:?}");
+        }
+    }
+    let tail = batcher.finish(&mut client).unwrap();
+    assert!(matches!(tail, Some(Response::Admitted(_))), "{tail:?}");
+    assert!(busy.get() >= 1, "no Busy was absorbed");
+    assert_eq!(batcher.pending(), 0);
+
+    let mut reference = Fabric::new(config());
+    reference.add_shard(0, 1.0).unwrap();
+    reference
+        .register_tenant(TenantSpec::frequency(8, 88))
+        .unwrap();
+    reference.handle(Request::Ingest(IngestFrame {
+        tenant: 8,
+        updates: updates.clone(),
+    }));
+    let mut fabric = fabric.borrow_mut();
+    for f in [&mut *fabric, &mut reference] {
+        f.handle(Request::Flush(TenantRef { tenant: 8 }));
+    }
+    assert_eq!(
+        observe(|r| fabric.handle(r), 8),
+        observe(|r| reference.handle(r), 8)
+    );
 }

@@ -14,8 +14,8 @@ use bias_aware_sketches::server::wire::{
     HeavyHittersQuery, IngestFrame, PointQuery, RangeQuery, TenantRef,
 };
 use bias_aware_sketches::server::{
-    call, serve_connection, Fabric, FabricConfig, Request, Response, ServingMode, TenantSpec,
-    WindowLen,
+    call, recover, serve_connection, Fabric, FabricConfig, Journal, JournalRecord, Request,
+    Response, ServingMode, TenantSpec, WindowLen, MAX_ABS_DELTA,
 };
 use proptest::prelude::*;
 
@@ -671,14 +671,89 @@ fn non_finite_deltas_are_rejected_and_change_nothing() {
     }
 }
 
-/// An arbitrary `f64`: mostly raw bit patterns (every finite value,
-/// subnormals and NaN payloads included), with NaN and ±inf forced
-/// often enough that most frames carry one.
+/// Finite deltas can still overflow a cell: two admitted deltas of
+/// `1e308` sum to `+inf`, JSON writes that cell as `null`, and the
+/// compacted checkpoint cannot be read back. Admission must reject any
+/// `|delta| > 2^53` as `bad_ingest` (changing nothing), while deltas of
+/// exactly `±2^53` are admitted and survive compaction and recovery bit
+/// for bit.
+#[test]
+fn deltas_beyond_two_pow_53_are_rejected_so_checkpoints_recover() {
+    let path = std::env::temp_dir().join(format!(
+        "bas-overflow-checkpoint-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(MAX_ABS_DELTA, 2f64.powi(53));
+    let spec = TenantSpec::frequency(1, 11);
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    fabric.register_tenant(spec).unwrap();
+    let mut journal = Journal::open(&path).unwrap();
+    journal
+        .append(&JournalRecord::TenantRegistered(spec))
+        .unwrap();
+    // Compacts the journal and recovers a fabric from it that answers
+    // like this one (the interval's admitted count is not checkpointed).
+    let mut round_trip = |fabric: &mut Fabric| {
+        journal.compact(fabric).unwrap();
+        let mut recovered = recover(&path, config()).expect("the checkpoint reads back");
+        let checkpointed = |mut seen: Vec<u64>| {
+            seen.remove(3);
+            seen
+        };
+        assert_eq!(
+            checkpointed(observe(&mut recovered, 1)),
+            checkpointed(observe(fabric, 1))
+        );
+    };
+
+    let ok = |big: f64| {
+        let mut updates = stream(1, 50);
+        updates[3] = (7, big);
+        updates[4] = (7, big);
+        updates[5] = (9, -big);
+        updates
+    };
+    let resp = fabric.handle(Request::Ingest(IngestFrame {
+        tenant: 1,
+        updates: ok(MAX_ABS_DELTA),
+    }));
+    assert!(matches!(resp, Response::Admitted(_)), "{resp:?}");
+    fabric.handle(Request::Flush(TenantRef { tenant: 1 }));
+    round_trip(&mut fabric);
+
+    let above = f64::from_bits(MAX_ABS_DELTA.to_bits() + 1);
+    for big in [1e308, -1e308, f64::MAX, above, -above] {
+        let before = observe(&mut fabric, 1);
+        let resp = fabric.handle(Request::Ingest(IngestFrame {
+            tenant: 1,
+            updates: ok(big),
+        }));
+        fabric.handle(Request::Flush(TenantRef { tenant: 1 }));
+        round_trip(&mut fabric);
+        match resp {
+            Response::Error(e) => assert_eq!(e.code, "bad_ingest", "{big}"),
+            other => panic!("delta {big}: {other:?}"),
+        }
+        assert_eq!(observe(&mut fabric, 1), before, "delta {big}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// An arbitrary `f64`: raw bit patterns (every finite value,
+/// subnormals and NaN payloads included) half the time, with NaN, ±inf,
+/// the ±2^53 admission bound and the doubles just past it forced, and
+/// in-bound integers often enough that whole frames get admitted.
 fn arbitrary_f64(sel: u64, bits: u64) -> f64 {
+    let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
     match sel {
         0 => f64::NAN,
         1 => f64::INFINITY,
         2 => f64::NEG_INFINITY,
+        3 => sign * MAX_ABS_DELTA,
+        4 => sign * f64::from_bits(MAX_ABS_DELTA.to_bits() + 1),
+        5..=19 => ((bits as i64) >> 11) as f64,
         _ => f64::from_bits(bits),
     }
 }
@@ -686,9 +761,9 @@ fn arbitrary_f64(sel: u64, bits: u64) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Over arbitrary `f64` frames, every admitted frame is finite and
-    /// every rejected one is a `bad_ingest` that leaves the tenant
-    /// untouched.
+    /// Over arbitrary `f64` frames, a frame is admitted iff every delta
+    /// is finite and within ±2^53, and every rejected one is a
+    /// `bad_ingest` that leaves the tenant untouched.
     #[test]
     fn arbitrary_f64_frames_admit_only_finite_deltas(
         raw in prop::collection::vec((0u64..N, 0u64..40, 0u64..u64::MAX), 1..24),
@@ -700,13 +775,15 @@ proptest! {
             .iter()
             .map(|&(item, sel, bits)| (item, arbitrary_f64(sel, bits)))
             .collect();
-        let finite = updates.iter().all(|&(_, d)| d.is_finite());
+        let admissible = updates
+            .iter()
+            .all(|&(_, d)| d.is_finite() && d.abs() <= MAX_ABS_DELTA);
         let before = observe(&mut fabric, 1);
         match fabric.handle(Request::Ingest(IngestFrame { tenant: 1, updates })) {
-            Response::Admitted(_) => prop_assert!(finite),
+            Response::Admitted(_) => prop_assert!(admissible),
             Response::Error(e) => {
                 prop_assert_eq!(e.code.as_str(), "bad_ingest");
-                prop_assert!(!finite);
+                prop_assert!(!admissible);
                 prop_assert_eq!(observe(&mut fabric, 1), before);
             }
             other => panic!("{other:?}"),
